@@ -409,9 +409,8 @@ def log_ai_diff(z: np.ndarray, shift) -> np.ndarray:
     zeta1 - zeta0 = (2/3) shift (z1 + sqrt(z1 z0) + z0) / (sqrt(z1)+sqrt(z0)),
     avoiding the cancellation of two ~|zeta| terms.
     """
-    z, shift = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(z, dtype=np.complex128)),
-        np.asarray(shift, dtype=np.float64))
+    z0 = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    z, shift = np.broadcast_arrays(z0, np.asarray(shift, dtype=np.float64))
     flip = z.imag < 0.0
     zu = np.where(flip, np.conj(z), z)
     z1 = zu + shift
@@ -440,7 +439,14 @@ def log_ai_diff(z: np.ndarray, shift) -> np.ndarray:
                            shift[conn] * _ROT_P)
     rest = ~(big | conn)
     if rest.any():
-        out[rest] = (log_ai_many(z1[rest]) - log_ai_many(zu[rest]))
+        # log Ai(z) once per base point, not once per broadcast shift
+        pad = (1,) * (rest.ndim - z0.ndim) + z0.shape
+        axes = tuple(i for i, n in enumerate(pad) if n == 1 < rest.shape[i])
+        need = rest.any(axis=axes, keepdims=True).reshape(z0.shape)
+        base = np.zeros(z0.shape, dtype=np.complex128)
+        zb = z0[need]
+        base[need] = log_ai_many(np.where(zb.imag < 0.0, np.conj(zb), zb))
+        out[rest] = log_ai_many(z1[rest]) - np.broadcast_to(base, rest.shape)[rest]
     return np.where(flip, np.conj(out), out)
 
 
