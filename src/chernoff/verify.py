@@ -120,7 +120,8 @@ def check_connection_suite(n: int = 1000, profile: float = 1.0) -> CheckReport:
 
 
 def check_regime_continuity(profile: float = 1.0) -> CheckReport:
-    """Series and asymptotic evaluations agree at the switch radius."""
+    """The inner-disk evaluator (AMOS, ``airy._series_bundle``) and the
+    asymptotic branch agree just outside the switch radius."""
     t0 = time.perf_counter()
     worst = 0.0
     for ph in (0.0, 0.7, math.pi / 2.0, 2.2, math.pi):
