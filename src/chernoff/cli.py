@@ -38,6 +38,20 @@ class _UsageError(ValueError):
     pass
 
 
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise _UsageError(message)
+
+
+def _checked(make, *args, **kw):
+    """Build a value object whose constructor validates only its own
+    fields, so its ValueError is a usage error."""
+    try:
+        return make(*args, **kw)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def _grid(args) -> np.ndarray:
     if args.step <= 0 or args.to <= getattr(args, "from"):
         raise _UsageError("need step > 0 and --to > --from")
@@ -75,23 +89,23 @@ def cmd_tabulate(args) -> int:
             table = dens.tabulate("argmax", _grid(args), spec)
             text = _fmt_rows("t,f", zip(table.grid, table.values))
         elif which == "max2":
-            table = dens.tabulate("joint_marginal", _grid(args), spec)
+            g = _grid(args)
+            _require(g[0] > 0.0, "tabulate --which max2 needs --from > 0")
+            table = dens.tabulate("joint_marginal", g, spec)
             text = _fmt_rows("a,f", zip(table.grid, table.values))
         elif which == "firstpassage":
-            st = StartState(args.s, args.x)
-            table = dens.tabulate("first_passage", _grid(args), spec, state=st)
+            st = _checked(StartState, args.s, args.x)
+            g = _grid(args)
+            _require(g[0] > st.s, "tabulate --which firstpassage needs --from > --s")
+            table = dens.tabulate("first_passage", g, spec, state=st)
             text = _fmt_rows("t,f", zip(table.grid, table.values))
         elif which == "phi":
             g = _grid(args)
             text = _fmt_rows("t,f", ((t, dens.phi(float(t), spec)) for t in g))
         elif which == "h":
-            if args.x >= 0:
-                print("tabulate --which h needs --x < 0", file=sys.stderr)
-                return 2
+            _require(args.x < 0, "tabulate --which h needs --x < 0")
             g = _grid(args)
-            if np.any(g <= 0):
-                print("h grid must be positive", file=sys.stderr)
-                return 2
+            _require(g[0] > 0, "tabulate --which h needs --from > 0")
             vals = dens._h_shift(-dens.FOUR13 * args.x, g)
             text = _fmt_rows("t,f", zip(g, vals))
         elif which == "joint2":
@@ -113,15 +127,13 @@ def cmd_tabulate(args) -> int:
 # verify
 # ----------------------------------------------------------------------------
 
-def _mc_reports(paths: int, seed: int, threads: int) -> list[verify.CheckReport]:
+def _mc_reports(cfg: mcsim.McConfig) -> list[verify.CheckReport]:
     """Monte Carlo concordance checks (argmax KS, hitting, pure-BM chi2)."""
     reports = []
     t0 = time.perf_counter()
-    cfg = mcsim.McConfig(n_paths=paths, dt=5e-4, t_max=4.0, seed=seed,
-                         threads=threads)
     sample = mcsim.simulate_two_sided(cfg)
     ks = mcsim.ks_statistic(sample.argmax, dens.chernoff_cdf)
-    bound = 1.63 / math.sqrt(paths) + 0.003
+    bound = 1.63 / math.sqrt(cfg.n_paths) + 0.003
     reports.append(verify.CheckReport(
         "mc_argmax_ks", 0.0, ks, ks, bound, bool(ks <= bound),
         int(1000 * (time.perf_counter() - t0))))
@@ -156,10 +168,14 @@ def cmd_verify(args) -> int:
     suites = {"all": ("airy", "identities", "pde"),
               "airy": ("airy",), "identities": ("identities",),
               "pde": ("pde",), "mc": ()}[args.suite]
+    cfg = None
+    if args.suite in ("all", "mc"):
+        cfg = _checked(mcsim.McConfig, n_paths=args.paths, dt=5e-4, t_max=4.0,
+                       seed=args.seed, threads=args.threads)
     try:
         reports = list(verify.run_all(profile, suites)) if suites else []
-        if args.suite in ("all", "mc"):
-            reports += _mc_reports(args.paths, args.seed, args.threads)
+        if cfg is not None:
+            reports += _mc_reports(cfg)
     except _NUMERICAL_ERRORS as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3
@@ -173,20 +189,24 @@ def cmd_verify(args) -> int:
 # simulate
 # ----------------------------------------------------------------------------
 
-def _mc_config(args) -> mcsim.McConfig:
-    return mcsim.McConfig(n_paths=args.paths, dt=args.dt, t_max=args.tmax,
-                          seed=args.seed,
-                          bridge_correction=not args.no_bridge,
-                          threads=args.threads)
+def _mc_config(args, two_sided: bool) -> mcsim.McConfig:
+    if two_sided:
+        _require(args.tmax >= mcsim.TWO_SIDED_T_MIN,
+                 "two-sided runs need --tmax >= %g" % mcsim.TWO_SIDED_T_MIN)
+    return _checked(mcsim.McConfig, n_paths=args.paths, dt=args.dt,
+                    t_max=args.tmax, seed=args.seed,
+                    bridge_correction=not args.no_bridge,
+                    threads=args.threads)
 
 
 def cmd_simulate(args) -> int:
-    cfg = _mc_config(args)
+    cfg = _mc_config(args, two_sided=args.what in ("argmax", "max"))
     if args.what in ("argmax", "max"):
         sample = mcsim.simulate_two_sided(cfg)
         vals = sample.argmax if args.what == "argmax" else sample.max
         text = _fmt_rows("value", ((v,) for v in vals))
     else:  # purebm
+        _require(args.z > 0.0, "simulate --what purebm needs --z > 0")
         hist = mcsim.simulate_pure_bm_passage(args.z, cfg)
         text = _fmt_rows("value,count",
                          zip(hist.edges[:-1], hist.counts.astype(float)))
@@ -199,7 +219,7 @@ def cmd_simulate(args) -> int:
 # ----------------------------------------------------------------------------
 
 def cmd_compare(args) -> int:
-    cfg = _mc_config(args)
+    cfg = _mc_config(args, two_sided=args.target == "argmax")
     ok = True
     if args.target == "argmax":
         sample = mcsim.simulate_two_sided(cfg)
@@ -209,7 +229,8 @@ def cmd_compare(args) -> int:
         print("argmax: KS=%.6f bound=%.6f paths=%d -> %s"
               % (ks, bound, cfg.n_paths, "OK" if ok else "FAIL"))
     elif args.target == "hitting":
-        st = StartState(args.s, args.x)
+        _require(args.x < 0.0, "compare --target hitting needs --x < 0")
+        st = _checked(StartState, args.s, args.x)
         est = mcsim.estimate_hitting_prob(st, cfg)
         target = dens.hitting_prob(st)
         z = (est.probability - target) / est.std_error

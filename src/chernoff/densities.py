@@ -426,10 +426,13 @@ def _phi_interp():
 
 
 def _phi_fast(tarr) -> np.ndarray:
+    """phi from the cached model on |t| <= 4.8, by scalar quadrature beyond."""
     tarr = np.asarray(tarr, dtype=np.float64)
-    if np.any(np.abs(tarr) > _PHI_DOMAIN):
-        raise ValueError("cached phi domain is |t| <= %.1f" % _PHI_DOMAIN)
-    return _phi_interp()(tarr)
+    inside = np.abs(tarr) <= _PHI_DOMAIN
+    out = np.empty(tarr.shape)
+    out[inside] = _phi_interp()(tarr[inside])
+    out[~inside] = [phi(float(t)) for t in tarr[~inside]]
+    return out
 
 
 def chernoff_density(t: float) -> float:
@@ -560,8 +563,7 @@ def joint_density_one_sided(t: float, a: float, state: StartState) -> float:
         raise ValueError("requires t > s and a > x")
     pref = math.exp((2.0 / 3.0) * s ** 3 + 2.0 * s * (x - a))
     hval = float(_h_shift(FOUR13 * (a - x), np.asarray([t - s]))[0])
-    pt = _phi_fast([t])[0] if abs(t) <= _PHI_DOMAIN else phi(t)
-    return pref * hval * pt
+    return pref * hval * _phi_fast([t])[0]
 
 
 def max_density_one_sided(a: float, state: StartState,
@@ -595,8 +597,7 @@ def joint_density_two_sided(t: float, a: float) -> float:
         raise ValueError("requires a > 0")
     at = abs(t)
     hval = float(_h_shift(FOUR13 * a, np.asarray([at]))[0])
-    pt = _phi_fast([at])[0] if at <= _PHI_DOMAIN else phi(at)
-    return hval * float(_g0_fast([a])[0]) * pt
+    return hval * float(_g0_fast([a])[0]) * _phi_fast([at])[0]
 
 
 _MAX_T_CAP = 14.0
@@ -607,10 +608,7 @@ def _hphi_grid(n_per_unit: int = 12):
     """Fixed Gauss-Legendre grid over t in (0, 14] with phi values, for the
     inner time integral of the two-sided max marginal."""
     pts, wts = gauss_legendre_panels(0.0, _MAX_T_CAP, nodes_per_unit=n_per_unit)
-    pvals = np.where(np.abs(pts) <= _PHI_DOMAIN, _phi_fast(np.minimum(pts, _PHI_DOMAIN)),
-                     np.array([phi(float(tt)) if tt > _PHI_DOMAIN else 0.0
-                               for tt in pts]))
-    return pts, wts, pvals
+    return pts, wts, _phi_fast(pts)
 
 
 def _max_marginal_quadrature(a_arr: np.ndarray) -> np.ndarray:
@@ -754,10 +752,10 @@ def tabulate(kind: str, grid, spec: QuadratureSpec | None = None,
         cdf = chernoff_cdf(np.asarray([grid[0], grid[-1]]))
         meta["mass_target"] = float(cdf[1] - cdf[0])
     elif kind == "joint_marginal":
-        values = _max_marginal_many(grid)
-        meta["mass_target"] = None
         if np.any(grid <= 0.0):
             raise ValueError("joint_marginal grid must be positive")
+        values = _max_marginal_many(grid)
+        meta["mass_target"] = None
     elif kind == "first_passage":
         if state is None:
             raise ValueError("first_passage needs a start state")

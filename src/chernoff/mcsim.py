@@ -41,6 +41,7 @@ __all__ = [
 
 _SLAB = 512
 _LOG_FLOOR = 1e-300
+TWO_SIDED_T_MIN = 4.0  # shortest horizon of a two-sided run
 
 
 @dataclass(frozen=True)
@@ -241,8 +242,8 @@ def simulate_two_sided(cfg: McConfig) -> PathSample:
     the two sides (measure zero up to float rounding) resolve to the left,
     i.e. the earlier time.
     """
-    if cfg.t_max < 4.0:
-        raise ValueError("two-sided runs need t_max >= 4")
+    if cfg.t_max < TWO_SIDED_T_MIN:
+        raise ValueError("two-sided runs need t_max >= %g" % TWO_SIDED_T_MIN)
 
     def worker(ci, n):
         rm, ra, _ = _one_sided_chunk(

@@ -162,3 +162,29 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
                   "--step", "0.5", "--out", str(out))
     assert rc == 3
     assert not out.exists()  # no partial file left behind
+
+
+def test_tabulate_chernoff_past_cached_phi_domain(tmp_path):
+    from chernoff import densities
+    out = tmp_path / "tail.csv"
+    assert run_main("tabulate", "--which", "chernoff", "--from", "4",
+                    "--to", "4.9", "--step", "0.1", "--out", str(out)) == 0
+    t, f = out.read_text().splitlines()[-1].split(",")
+    assert float(t) == pytest.approx(4.9, abs=1e-12)
+    expected = 0.5 * densities.phi(4.9) * densities.phi(-4.9)
+    assert float(f) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ("tabulate", "--which", "max2", "--from", "0", "--to", "1", "--step", "0.5"),
+    ("tabulate", "--which", "firstpassage", "--x", "1", "--from", "0.1",
+     "--to", "1", "--step", "0.1"),
+    ("simulate", "--what", "argmax", "--paths", "0"),
+    ("simulate", "--what", "argmax", "--tmax", "2"),
+    ("compare", "--target", "hitting", "--x", "0"),
+])
+def test_domain_errors_are_one_line_usage_errors(argv):
+    r = run_proc(*argv)
+    assert r.returncode == 2
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: ")
