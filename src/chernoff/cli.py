@@ -127,42 +127,6 @@ def cmd_tabulate(args) -> int:
 # verify
 # ----------------------------------------------------------------------------
 
-def _mc_reports(cfg: mcsim.McConfig) -> list[verify.CheckReport]:
-    """Monte Carlo concordance checks (argmax KS, hitting, pure-BM chi2)."""
-    reports = []
-    t0 = time.perf_counter()
-    sample = mcsim.simulate_two_sided(cfg)
-    ks = mcsim.ks_statistic(sample.argmax, dens.chernoff_cdf)
-    bound = 1.63 / math.sqrt(cfg.n_paths) + 0.003
-    reports.append(verify.CheckReport(
-        "mc_argmax_ks", 0.0, ks, ks, bound, bool(ks <= bound),
-        int(1000 * (time.perf_counter() - t0))))
-
-    t0 = time.perf_counter()
-    st = StartState(0.0, -1.0)
-    est = mcsim.estimate_hitting_prob(st, cfg)
-    target = dens.hitting_prob(st)
-    err = abs(est.probability - target)
-    reports.append(verify.CheckReport(
-        "mc_hitting_prob_0_-1", target, est.probability, err,
-        3.0 * est.std_error, bool(err <= 3.0 * est.std_error),
-        int(1000 * (time.perf_counter() - t0))))
-
-    t0 = time.perf_counter()
-    hist = mcsim.simulate_pure_bm_passage(1.0, cfg)
-    masses = np.diff(dens.bm_first_passage_cdf(1.0, hist.edges))
-    tail = 1.0 - float(dens.bm_first_passage_cdf(1.0, np.asarray([hist.edges[-1]]))[0])
-    obs = np.concatenate([hist.counts, [hist.censored]]).astype(float)
-    expc = hist.n_paths * np.concatenate([masses, [tail]])
-    chi2 = float(((obs - expc) ** 2 / expc).sum())
-    from scipy.special import gammaincc
-    pval = float(gammaincc((obs.size - 1) / 2.0, chi2 / 2.0))
-    reports.append(verify.CheckReport(
-        "mc_purebm_chi2_pvalue", 1.0, pval, chi2, 0.001,
-        bool(pval > 0.001), int(1000 * (time.perf_counter() - t0))))
-    return reports
-
-
 def cmd_verify(args) -> int:
     profile = "strict" if args.strict else "default"
     suites = {"all": ("airy", "identities", "pde"),
@@ -175,7 +139,7 @@ def cmd_verify(args) -> int:
     try:
         reports = list(verify.run_all(profile, suites)) if suites else []
         if cfg is not None:
-            reports += _mc_reports(cfg)
+            reports += verify.mc_concordance(cfg)
     except _NUMERICAL_ERRORS as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3
@@ -222,22 +186,19 @@ def cmd_compare(args) -> int:
     cfg = _mc_config(args, two_sided=args.target == "argmax")
     ok = True
     if args.target == "argmax":
-        sample = mcsim.simulate_two_sided(cfg)
-        ks = mcsim.ks_statistic(sample.argmax, dens.chernoff_cdf)
-        bound = 1.63 / math.sqrt(cfg.n_paths) + 0.003
-        ok = ks <= bound
+        [rep] = verify.mc_concordance(cfg, ("argmax",))
+        ok = rep.passed
         print("argmax: KS=%.6f bound=%.6f paths=%d -> %s"
-              % (ks, bound, cfg.n_paths, "OK" if ok else "FAIL"))
+              % (rep.computed, rep.tol, cfg.n_paths, "OK" if ok else "FAIL"))
     elif args.target == "hitting":
         _require(args.x < 0.0, "compare --target hitting needs --x < 0")
         st = _checked(StartState, args.s, args.x)
-        est = mcsim.estimate_hitting_prob(st, cfg)
-        target = dens.hitting_prob(st)
-        z = (est.probability - target) / est.std_error
-        ok = abs(z) <= 3.0
+        [rep] = verify.mc_concordance(cfg, ("hitting",), st)
+        ok = rep.passed
+        se = rep.tol / 3.0
         print("hitting(%g,%g): quadrature=%.6f mc=%.6f +- %.6f z=%+.2f -> %s"
-              % (st.s, st.x, target, est.probability, est.std_error, z,
-                 "OK" if ok else "FAIL"))
+              % (st.s, st.x, rep.target, rep.computed, se,
+                 (rep.computed - rep.target) / se, "OK" if ok else "FAIL"))
     else:  # max: one-sided from (0, 0), histogram bins around the a grid
         st = StartState(0.0, 0.0)
         sample = mcsim.simulate_one_sided(st, cfg)

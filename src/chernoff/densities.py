@@ -293,13 +293,6 @@ def hitting_prob(state: StartState, spec: QuadratureSpec | None = None) -> float
     return _as_probability(res.value.real, err, "hitting_prob%s" % (state,))
 
 
-def f_tilted(state: StartState, spec: QuadratureSpec | None = None) -> float:
-    """f(s,x) = exp(-2sx - (2/3)s^3) * hitting probability (the tilted
-    hitting functional satisfying the parabolic PDE)."""
-    p = hitting_prob(state, spec)
-    return math.exp(-2.0 * state.s * state.x - (2.0 / 3.0) * state.s ** 3) * p
-
-
 # ----------------------------------------------------------------------------
 # g: tilted survival functional
 # ----------------------------------------------------------------------------

@@ -10,16 +10,32 @@ attacked head on:
 * running maxima are (optionally) sampled from the exact bridge-maximum law
   via the Rayleigh inversion trick, removing the ``O(sqrt(dt))`` grid bias.
 
+Normals are spent only where the path can matter.  Each path is first
+drawn on the coarse grid ``dt_c = K dt``, where ``K`` is the largest power
+of two <= 16 dividing the step count (``K = 1`` is plain uniform
+stepping).  A coarse interval is refined to the ``dt`` grid only if its
+bridge can reach the record (the highest value the path is known to
+reach, up to an ``e^-48`` tail) or the barrier (up to the ``e^-45``
+crossing tail, and only up to the first coarse endpoint at or above it);
+both tests allow for the ``dt_c^2 / 4`` by which ``-t^2`` rises above its
+chord.  The fill is the
+pinned random-walk bridge ``S_j - (j/K) S_K``, the exact law of the fine
+grid given the coarse endpoints (Levy-Ciesielski), and the two exact leaf
+rules above then run at ``dt`` as before.  Which intervals are filled
+depends on the coarse path alone, so ``bridge_correction`` on and off see
+the same fine path.
+
 Randomness is counter-based: every (purpose, side, chunk) triple owns a
-Philox substream keyed by the seed, so results are bit-identical for a
-given (seed, config) regardless of how many worker threads run the chunks.
+Philox substream keyed by the seed, drawn in a fixed order, so results are
+bit-identical for a given (seed, config) regardless of how many worker
+threads run the chunks.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -39,7 +55,9 @@ __all__ = [
     "ks_statistic",
 ]
 
-_SLAB = 512
+_SLAB = 512         # coarse steps per time slab
+_FILL_SLAB = 1 << 19  # fine grid values per slab of refined intervals
+_MAX_REFINE = 16
 _LOG_FLOOR = 1e-300
 TWO_SIDED_T_MIN = 4.0  # shortest horizon of a two-sided run
 
@@ -64,6 +82,8 @@ class McConfig:
             raise ValueError("dt and t_max must be positive")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if self.n_steps < 1:
+            raise ValueError("t_max / dt must round to at least one step")
 
     @property
     def n_steps(self) -> int:
@@ -136,95 +156,162 @@ def _run_chunks(cfg: McConfig, worker):
         return [f.result() for f in futs]  # chunk order, not completion order
 
 
+def _refine_factor(n_steps: int) -> int:
+    """Fine steps per coarse interval: the largest power of two <= 16 that
+    divides ``n_steps`` (1 for odd counts, i.e. plain uniform stepping)."""
+    k = _MAX_REFINE
+    while n_steps % k:
+        k //= 2
+    return k
+
+
 def _one_sided_chunk(cfg: McConfig, chunk: int, n: int, *, s0: float,
                      x0: float, side: int, parabola: bool, track_max: bool,
                      track_hit: bool, stop_on_hit: bool):
     """Simulate one chunk of paths of X(t) = x0 + (W(t) - W(s0)) - (t^2 - s0^2).
 
-    Returns (max, argmax, hit_time) arrays of length n (NaN hit_time where
-    the barrier was never reached before the horizon).
+    Paths are drawn on the coarse grid dt_c = K dt; the K fine steps of a
+    coarse interval are drawn as a pinned random-walk bridge only where the
+    running record or the barrier is within reach.  Returns (max, argmax,
+    hit_time) arrays of length n (NaN hit_time where the barrier was never
+    reached before the horizon).
     """
     inc = _stream(cfg.seed, 0, side, chunk)
     brg = _stream(cfg.seed, 1, side, chunk)
     dt = cfg.dt
-    sq = math.sqrt(dt)
     n_steps = cfg.n_steps
-    # steps whose bridge max could beat the running record: the excess over
-    # the endpoint max is below 0.5 sqrt(-2 dt ln U); ln U < -48 has
-    # probability e^-48 per step, far below Monte Carlo resolution
+    K = _refine_factor(n_steps)
+    dtc = K * dt
+    # -t^2 lies above its chord by at most dt_c^2 / 4 at the fine points
+    # inside a coarse interval (a leaf ignores its own O(dt^2) curvature)
+    sag = 0.25 * dtc * dtc if parabola and K > 1 else 0.0
+    # a bridge over h exceeds its higher end by e with probability
+    # exp(-2 e^2 / h); e = 0.5 sqrt(2 h 48) puts that at e^-48, far below
+    # Monte Carlo resolution (leaf margin at dt, interval reach at dt_c)
     margin = 0.5 * math.sqrt(2.0 * dt * 48.0)
+    reach = 0.5 * math.sqrt(2.0 * dtc * 48.0) + sag
+    theta = np.arange(K + 1) / K
+    chord_sag = theta * (1.0 - theta) * dtc * dtc if parabola else 0.0
 
     idx_alive = np.arange(n)
     x_last = np.full(n, x0)
     cur_max = np.full(n, x0)
     cur_arg = np.full(n, s0)
     hit_time = np.full(n, np.nan)
+    barrier_open = np.ones(n, dtype=bool)  # no coarse endpoint >= 0 yet
 
     done = 0
     while done < n_steps and idx_alive.size:
-        L = min(_SLAB, n_steps - done)
+        C = min(_SLAB, (n_steps - done) // K)
         m = idx_alive.size
-        # X holds the state at grid times done..done+L (column 0 = carry-in),
-        # so step endpoints are the views X[:, :-1] / X[:, 1:] -- no copies
-        X = np.empty((m, L + 1))
+        # coarse state at fine indices done + K*(0..C) (column 0 = carry-in)
+        X = np.empty((m, C + 1))
         X[:, 0] = 0.0
-        X[:, 1:] = inc.standard_normal((m, L), dtype=np.float32)
+        X[:, 1:] = inc.standard_normal((m, C), dtype=np.float32)
         np.add.accumulate(X[:, 1:], axis=1, out=X[:, 1:])
-        X[:, 1:] *= sq
+        X[:, 1:] *= math.sqrt(dtc)
         if parabola:
-            tg = s0 + (done + np.arange(L + 1)) * dt
+            tg = s0 + (done + K * np.arange(C + 1)) * dt
             X += (x_last + (s0 + done * dt) ** 2)[:, None]
             X -= (tg * tg)[None, :]
         else:
             X += x_last[:, None]
-        Xl = X[:, :-1]
-        Xr = X[:, 1:]
 
-        has_hit = np.zeros(m, dtype=bool)
-        if track_hit:
-            crossed = Xr >= 0.0
-            if cfg.bridge_correction:
-                prod = Xl * Xr
-                cand = (Xl < 0.0) & (Xr < 0.0) & (prod < 22.5 * dt)
-                nc = int(np.count_nonzero(cand))
-                if nc:
-                    u = brg.random(nc)
-                    crossed[cand] |= u < np.exp(-2.0 * prod[cand] / dt)
-            has_hit = crossed.any(axis=1)
-            if has_hit.any():
-                first = np.argmax(crossed[has_hit], axis=1)
-                hit_time[idx_alive[has_hit]] = s0 + (done + first + 1) * dt
-
+        # coarse intervals whose bridge can reach the record or the barrier
+        fill = np.zeros((m, C), dtype=bool)
         if track_max:
-            if cfg.bridge_correction:
-                colmask = X > (cur_max - margin)[:, None]
-                cand = colmask[:, :-1] | colmask[:, 1:]
-                if cand.any():
-                    rows, cols = np.nonzero(cand)
-                    u = np.maximum(brg.random(rows.size), _LOG_FLOOR)
-                    xl = Xl[rows, cols]
-                    xr = Xr[rows, cols]
-                    M = 0.5 * (xl + xr + np.sqrt(
-                        (xl - xr) ** 2 - 2.0 * dt * np.log(u)))
-                    best = np.full(m, -np.inf)
-                    np.maximum.at(best, rows, M)
-                    upd = best > cur_max
-                    cur_max[upd] = best[upd]
-                    win = upd[rows] & (M >= best[rows])
-                    cur_arg[rows[win]] = s0 + (done + cols[win]) * dt
-            else:
-                best = Xr.max(axis=1)
-                upd = best > cur_max
-                if upd.any():
-                    cur_max[upd] = best[upd]
-                    cur_arg[upd] = s0 + (done + Xr[upd].argmax(axis=1) + 1) * dt
+            record = np.maximum(cur_max, X[:, 1:].max(axis=1))
+            near = X > (record - reach)[:, None]
+            fill |= near[:, :-1] | near[:, 1:]
+            thr = record - margin
+        if track_hit:
+            up = X[:, 1:] >= 0.0
+            seen = np.logical_or.accumulate(up, axis=1)
+            coarse_hit = seen[:, -1].copy()
+            # up to and including the first coarse endpoint >= 0
+            live = np.empty((m, C), dtype=bool)
+            live[:, 0] = barrier_open[idx_alive]
+            np.logical_not(seen[:, :-1], out=live[:, 1:])
+            live[:, 1:] &= live[:, :1]
+            Y = X + sag if sag else X
+            cross = (Y[:, :-1] * Y[:, 1:] < 22.5 * dtc) | (Y[:, :-1] >= 0.0) | up
+            hit_fill = live & cross
+            del Y, cross, live, up, seen
+            fill |= hit_fill
 
-        x_last = Xr[:, -1].copy()
-        if stop_on_hit and track_hit and has_hit.any():
-            keep = ~has_hit
-            idx_alive = idx_alive[keep]
-            x_last = x_last[keep]
-        done += L
+        flat = np.flatnonzero(fill)
+        del fill
+        per = _FILL_SLAB // (K + 1)
+        for lo in range(0, flat.size, per):
+            fi = flat[lo:lo + per]
+            rows, cols = np.divmod(fi, C)
+            xl = X[rows, cols]
+            xr = X[rows, cols + 1]
+            # F[:, j] = X at fine index done + K*col + j, j = 0..K
+            F = np.zeros((fi.size, K + 1))
+            if K > 1:  # bridge S_j - (j/K) S_K of a K-step random walk
+                F[:, 1:] = inc.standard_normal((fi.size, K), dtype=np.float32)
+                np.add.accumulate(F[:, 1:], axis=1, out=F[:, 1:])
+                F[:, 1:] -= theta[1:] * F[:, -1:]
+                F[:, 1:] *= math.sqrt(dt)
+            F += xl[:, None] * (1.0 - theta) + xr[:, None] * theta + chord_sag
+            Fl = F[:, :-1]
+            Fr = F[:, 1:]
+            step0 = done + K * cols  # fine index of each interval's left end
+
+            if track_hit:
+                h = hit_fill[rows, cols]
+                Hl, Hr = Fl[h], Fr[h]
+                crossed = Hr >= 0.0
+                if cfg.bridge_correction:
+                    prod = Hl * Hr
+                    cand = (Hl < 0.0) & (Hr < 0.0) & (prod < 22.5 * dt)
+                    nc = int(np.count_nonzero(cand))
+                    if nc:
+                        u = brg.random(nc)
+                        crossed[cand] |= u < np.exp(-2.0 * prod[cand] / dt)
+                any_c = crossed.any(axis=1)
+                if any_c.any():
+                    first = np.argmax(crossed[any_c], axis=1)
+                    hr = rows[h][any_c]
+                    hstep = step0[h][any_c] + first + 1
+                    # intervals come in (path, time) order: keep each
+                    # path's earliest crossing, and never overwrite
+                    pr, k0 = np.unique(hr, return_index=True)
+                    tgt = idx_alive[pr]
+                    new = np.isnan(hit_time[tgt])
+                    hit_time[tgt[new]] = s0 + hstep[k0][new] * dt
+
+            if track_max:
+                above = F > thr[rows][:, None]
+                if cfg.bridge_correction:
+                    ii, jj = np.nonzero(above[:, :-1] | above[:, 1:])
+                    u = np.maximum(brg.random(ii.size), _LOG_FLOOR)
+                    a = Fl[ii, jj]
+                    b = Fr[ii, jj]
+                    M = 0.5 * (a + b + np.sqrt((a - b) ** 2 - 2.0 * dt * np.log(u)))
+                    steps = step0[ii] + jj          # leaf's left end
+                else:
+                    ii, jj = np.nonzero(above[:, 1:])
+                    M = Fr[ii, jj]
+                    steps = step0[ii] + jj + 1      # the grid point itself
+                pr = rows[ii]
+                best = np.full(m, -np.inf)
+                np.maximum.at(best, pr, M)
+                upd = best > cur_max
+                cur_max[upd] = best[upd]
+                win = upd[pr] & (M >= best[pr])
+                cur_arg[pr[win]] = s0 + steps[win] * dt
+
+        x_last = X[:, -1].copy()
+        if track_hit:
+            if stop_on_hit:
+                keep = ~coarse_hit
+                idx_alive = idx_alive[keep]
+                x_last = x_last[keep]
+            else:
+                barrier_open[idx_alive[coarse_hit]] = False
+        done += C * K
 
     out_max = np.full(n, x0)
     out_arg = np.full(n, s0)
@@ -304,9 +391,7 @@ def simulate_pure_bm_passage(z: float, cfg: McConfig,
     censored."""
     if not z > 0.0:
         raise ValueError("z must be positive")
-    run_cfg = cfg if cfg.t_max >= upper else McConfig(
-        cfg.n_paths, cfg.dt, upper, cfg.seed, cfg.bridge_correction,
-        cfg.chunk_paths, cfg.threads)
+    run_cfg = cfg if cfg.t_max >= upper else replace(cfg, t_max=upper)
 
     def worker(ci, n):
         _, _, ht = _one_sided_chunk(

@@ -2,10 +2,10 @@
 is built on, with machine-readable reports.
 
 Each check returns one or more :class:`CheckReport` records; ``run_all``
-aggregates the deterministic suites (no randomness beyond fixed seeds, so
-reports are bit-reproducible for a given tolerance profile).  Monte Carlo
-concordance checks live in the CLI layer, keeping this module seed-free in
-the reproducibility sense the reports promise.
+aggregates the deterministic suites (no randomness, so reports are
+bit-reproducible for a given tolerance profile).  ``mc_concordance`` holds
+the Monte Carlo checks; they depend on the simulation config and its seed,
+so ``run_all`` never runs them.
 """
 
 from __future__ import annotations
@@ -17,9 +17,11 @@ from dataclasses import dataclass, asdict
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from scipy.special import gammaincc
 
 from . import airy
 from . import densities as dens
+from . import mcsim
 from .densities import StartState
 from .quadrature import QuadratureBudgetError, QuadratureSpec, integrate_real_line
 
@@ -36,6 +38,8 @@ __all__ = [
     "check_survival_tilt_limit",
     "check_chernoff_density",
     "check_moment_relation",
+    "MC_CHECKS",
+    "mc_concordance",
     "run_all",
     "to_ndjson",
     "summarize",
@@ -321,6 +325,56 @@ def check_moment_relation(profile: float = 1.0) -> CheckReport:
     rel = abs(et2 - em3) / em3
     return CheckReport.build("moment_relation", 0.0, rel,
                              _scaled(1e-4, profile), t0)
+
+
+# ----------------------------------------------------------------------------
+# Monte Carlo concordance
+# ----------------------------------------------------------------------------
+
+MC_CHECKS = ("argmax", "hitting", "purebm")
+
+
+def mc_concordance(cfg: mcsim.McConfig, checks: Sequence[str] = MC_CHECKS,
+                   state: StartState = StartState(0.0, -1.0)
+                   ) -> list[CheckReport]:
+    """Monte Carlo against quadrature, one report per selected check:
+
+    * ``argmax``: KS distance of the two-sided argmax sample to Chernoff's
+      CDF, below ``1.63 / sqrt(n) + 0.003`` (the 1 % Kolmogorov quantile
+      plus a fixed 0.003 allowance);
+    * ``hitting``: the hitting frequency from ``state`` within 3 binomial
+      standard errors (``tol`` = 3 se) of the quadrature probability;
+    * ``purebm``: chi-square p-value > 0.001 of the passage histogram of
+      driftless BM from 1 (plus the censored cell) against its closed form.
+    """
+    reports = []
+    for name in checks:
+        t0 = time.perf_counter()
+        if name == "argmax":
+            sample = mcsim.simulate_two_sided(cfg)
+            ks = mcsim.ks_statistic(sample.argmax, dens.chernoff_cdf)
+            bound = 1.63 / math.sqrt(cfg.n_paths) + 0.003
+            row = ("mc_argmax_ks", 0.0, ks, ks, bound, ks <= bound)
+        elif name == "hitting":
+            est = mcsim.estimate_hitting_prob(state, cfg)
+            target = dens.hitting_prob(state)
+            err = abs(est.probability - target)
+            tol = 3.0 * est.std_error
+            row = ("mc_hitting_prob_%g_%g" % (state.s, state.x), target,
+                   est.probability, err, tol, err <= tol)
+        elif name == "purebm":
+            hist = mcsim.simulate_pure_bm_passage(1.0, cfg)
+            cdf = dens.bm_first_passage_cdf(1.0, hist.edges)
+            obs = np.concatenate([hist.counts, [hist.censored]]).astype(float)
+            expc = hist.n_paths * np.concatenate([np.diff(cdf), [1.0 - cdf[-1]]])
+            chi2 = float(((obs - expc) ** 2 / expc).sum())
+            pval = float(gammaincc((obs.size - 1) / 2.0, chi2 / 2.0))
+            row = ("mc_purebm_chi2_pvalue", 1.0, pval, chi2, 0.001, pval > 0.001)
+        else:
+            raise ValueError("unknown Monte Carlo check %r" % (name,))
+        reports.append(CheckReport(*row[:5], bool(row[5]),
+                                   int(1000 * (time.perf_counter() - t0))))
+    return reports
 
 
 # ----------------------------------------------------------------------------

@@ -182,6 +182,7 @@ def test_tabulate_chernoff_past_cached_phi_domain(tmp_path):
     ("simulate", "--what", "argmax", "--paths", "0"),
     ("simulate", "--what", "argmax", "--tmax", "2"),
     ("compare", "--target", "hitting", "--x", "0"),
+    ("compare", "--target", "hitting", "--dt", "1", "--tmax", "0.4"),  # no step
 ])
 def test_domain_errors_are_one_line_usage_errors(argv):
     r = run_proc(*argv)

@@ -2,6 +2,7 @@
 corrections.  Acceptance-scale runs live in test_acceptance."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -161,3 +162,74 @@ def test_config_validation():
         McConfig(n_paths=10, dt=-1e-3)
     with pytest.raises(ValueError):
         McConfig(n_paths=10, threads=0)
+    with pytest.raises(ValueError):  # t_max / dt rounds to zero steps
+        McConfig(n_paths=10, dt=1.0, t_max=0.4)
+
+
+def test_refine_factor():
+    assert mcsim._refine_factor(8000) == 16
+    assert mcsim._refine_factor(1000) == 8
+    assert mcsim._refine_factor(1333) == 1
+    assert mcsim._refine_factor(1) == 1
+
+
+def _on_grid(t, dt, s0=0.0):
+    k = (np.asarray(t) - s0) / dt
+    return np.all(np.abs(k - np.round(k)) < 1e-6)
+
+
+def test_odd_step_count_is_uniform_stepping():
+    # dt = 3e-3 gives 1333 steps: K = 1, every interval is a leaf
+    cfg = McConfig(n_paths=4000, dt=3e-3, t_max=4.0, seed=5)
+    assert mcsim._refine_factor(cfg.n_steps) == 1
+    s = mcsim.simulate_two_sided(cfg)
+    assert np.all(s.max >= 0.0)
+    assert np.all(np.abs(s.argmax) <= cfg.n_steps * cfg.dt + 1e-12)
+    assert _on_grid(s.argmax, cfg.dt)
+    ks = mcsim.ks_statistic(s.argmax, dens.chernoff_cdf)
+    assert ks < 1.63 / math.sqrt(len(s)) + 0.003
+
+
+def test_argmax_and_hit_times_on_dt_grid(two_sided):
+    assert _on_grid(two_sided.argmax, CFG.dt)
+    cfg = McConfig(n_paths=5000, dt=2e-3, t_max=4.0, seed=4)
+    for bridge in (True, False):
+        s = mcsim.simulate_one_sided(StartState(0.5, -0.5),
+                                     replace(cfg, bridge_correction=bridge))
+        hits = ~np.isnan(s.hit_time)
+        assert hits.any()
+        assert _on_grid(s.hit_time[hits], cfg.dt, 0.5)
+        assert np.all(s.hit_time[hits] > 0.5)
+        assert _on_grid(s.argmax, cfg.dt, 0.5)
+
+
+@pytest.mark.parametrize("stop_on_hit", [False, True])
+def test_bridge_correction_sees_the_same_fine_path(stop_on_hit):
+    # the filled intervals depend on the coarse path only, so switching the
+    # bridge crossing test on can only add crossings or move them earlier;
+    # t_max = 5 at dt = 1e-3 takes two time slabs of the coarse grid
+    cfg = McConfig(n_paths=4000, dt=1e-3, t_max=5.0, seed=8)
+    kw = dict(s0=0.0, x0=-1.0, side=2, parabola=not stop_on_hit,
+              track_max=not stop_on_hit, track_hit=True,
+              stop_on_hit=stop_on_hit)
+    ht = {}
+    for bridge in (True, False):
+        ht[bridge] = mcsim._one_sided_chunk(
+            replace(cfg, bridge_correction=bridge), 0, cfg.n_paths, **kw)[2]
+    on, off = ht[True], ht[False]
+    hit_off = ~np.isnan(off)
+    assert hit_off.sum() > 100
+    assert np.all(~np.isnan(on[hit_off]))
+    assert np.all(on[hit_off] <= off[hit_off])
+    assert np.count_nonzero(~np.isnan(on)) > hit_off.sum()
+
+
+def test_refined_moments_match_quadrature():
+    # E tau^2 and E M of the refined engine at dt = 5e-4 against the
+    # quadrature values, within 4 standard errors
+    n = 65536
+    s = mcsim.simulate_two_sided(
+        McConfig(n_paths=n, dt=5e-4, t_max=4.0, seed=2024, threads=2))
+    t2 = s.argmax ** 2
+    assert abs(t2.mean() - dens.argmax_second_moment()) < 4.0 * t2.std() / math.sqrt(n)
+    assert abs(s.max.mean() - dens.max_mean_two_sided()) < 4.0 * s.max.std() / math.sqrt(n)

@@ -93,3 +93,15 @@ def test_summary_counts_failures():
     text = summarize(reports)
     assert "2 checks, 1 failed" in text
     assert "FAIL" in text and "PASS" in text
+
+
+def test_mc_concordance_selects_checks_and_states():
+    from chernoff.densities import StartState
+    from chernoff.mcsim import McConfig
+    cfg = McConfig(n_paths=4000, dt=4e-3, seed=1)
+    [rep] = verify.mc_concordance(cfg, ("hitting",), StartState(0.0, -0.5))
+    assert rep.name == "mc_hitting_prob_0_-0.5"
+    assert rep.passed == (rep.abs_err <= rep.tol)
+    assert 0.0 < rep.computed < 1.0
+    with pytest.raises(ValueError):
+        verify.mc_concordance(cfg, ("nope",))
