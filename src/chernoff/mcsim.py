@@ -176,6 +176,7 @@ def _one_sided_chunk(cfg: McConfig, chunk: int, n: int, *, s0: float,
     hit_time) arrays of length n (NaN hit_time where the barrier was never
     reached before the horizon).
     """
+    s0, x0 = float(s0), float(x0)  # integer starts must not make int arrays
     inc = _stream(cfg.seed, 0, side, chunk)
     brg = _stream(cfg.seed, 1, side, chunk)
     dt = cfg.dt

@@ -155,6 +155,15 @@ def test_one_sided_sample_reports_hits():
     assert pf.hit_time is not None and pf.hit_time > 0.0
 
 
+def test_integer_start_state_gives_float_functionals():
+    cfg = McConfig(n_paths=500, dt=2e-3, t_max=2.0, seed=6)
+    a = mcsim.simulate_one_sided(StartState(0, -1), cfg)
+    b = mcsim.simulate_one_sided(StartState(0.0, -1.0), cfg)
+    assert np.array_equal(a.max, b.max)
+    assert np.array_equal(a.argmax, b.argmax)
+    assert np.any(a.argmax % 1.0 != 0.0)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         McConfig(n_paths=0)
