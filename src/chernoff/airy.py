@@ -18,7 +18,7 @@ The plane splits at ``|z| = SWITCH_RADIUS`` (= 8):
   both of which land in the reliable sector.
 
 Everything is vectorized over numpy arrays; scalar wrappers sit on top.
-``log_ai`` and ``log_ai_diff`` provide overflow-free evaluation of the
+``log_ai_many`` and ``log_ai_diff`` provide overflow-free evaluation of the
 Airy ratios that all the contour integrands in this package are built from.
 """
 
@@ -38,7 +38,6 @@ __all__ = [
     "airy_all",
     "airy_many",
     "airy_ai_log_scaled",
-    "log_ai",
     "log_ai_diff",
     "ai_ratio",
     "scorer_hi",
@@ -101,37 +100,12 @@ def classify(z: complex) -> EvalRegime:
     return EvalRegime("rotated_connection")
 
 
-# ----------------------------------------------------------------------------
-# Gamma (Lanczos, g = 7) -- internal, validated against the reflection identity
-# ----------------------------------------------------------------------------
-
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def gamma_real(x: float) -> float:
-    """Gamma function on the real line (Lanczos approximation)."""
+    """Gamma function on the real line; ValueError at its poles."""
     x = float(x)
-    if x < 0.5:
-        s = math.sin(math.pi * x)
-        if s == 0.0:
-            raise ValueError("gamma pole at non-positive integer")
-        return math.pi / (s * gamma_real(1.0 - x))
-    x -= 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (x + i)
-    t = x + 7.5
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc
+    if x <= 0.0 and x == math.floor(x):
+        raise ValueError("gamma pole at non-positive integer")
+    return math.gamma(x)
 
 
 # ----------------------------------------------------------------------------
@@ -196,7 +170,7 @@ def _asy_ai_pair(w: np.ndarray):
     sq = np.sqrt(w)
     zeta = (2.0 / 3.0) * w * sq
     if np.any(np.abs(zeta.real) > 690.0):
-        raise AiryOverflowError("Re zeta out of float64 range; use log_ai")
+        raise AiryOverflowError("Re zeta out of float64 range; use log_ai_many")
     s0, s1, rel = _asy_sums(zeta)
     q = np.sqrt(sq)  # w^{1/4}
     pref = np.exp(-zeta) / (2.0 * math.sqrt(math.pi))
@@ -285,7 +259,7 @@ def airy_many(z: np.ndarray):
     for arr in out:
         np.conjugate(arr, where=flip, out=arr)
     if not all(np.all(np.isfinite(arr)) for arr in out):
-        raise AiryOverflowError("Airy value overflow; use log_ai")
+        raise AiryOverflowError("Airy value overflow; use log_ai_many")
     scale = np.maximum(1.0, np.maximum(np.abs(ai), np.abs(bi)))
     return ai, aip, bi, bip, rel * scale
 
@@ -303,7 +277,7 @@ def airy_all(z: complex) -> AiryBundle:
 
 def log_ai_many(z: np.ndarray) -> np.ndarray:
     """Complex log of Ai(z): real part log|Ai|, imaginary part a phase
-    (mod 2pi) such that exp(log_ai) = Ai(z).  Overflow-free for |z| up to
+    (mod 2pi) such that exp(log_ai_many(z)) = Ai(z).  Overflow-free for |z| up to
     ~1e4 and beyond."""
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     if not np.all(np.isfinite(z)):
@@ -344,11 +318,6 @@ def airy_ai_log_scaled(z: complex) -> tuple[float, float]:
     """(log_modulus, phase) with exp(log_modulus + i phase) = Ai(z)."""
     v = log_ai_many(np.asarray([complex(z)]))[0]
     return float(v.real), float(v.imag)
-
-
-def log_ai(z) -> np.ndarray:
-    """Array alias of the log-scaled Ai evaluation."""
-    return log_ai_many(z)
 
 
 _DIFF_SAFE_RADIUS = 16.0

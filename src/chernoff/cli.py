@@ -101,18 +101,20 @@ def cmd_tabulate(args) -> int:
             text = _fmt_rows("t,f", zip(table.grid, table.values))
         elif which == "phi":
             g = _grid(args)
-            text = _fmt_rows("t,f", ((t, dens.phi(float(t), spec)) for t in g))
+            vals = dens._clamp_density([dens.phi(float(t), spec) for t in g])
+            text = _fmt_rows("t,f", zip(g, vals))
         elif which == "h":
             _require(args.x < 0, "tabulate --which h needs --x < 0")
             g = _grid(args)
             _require(g[0] > 0, "tabulate --which h needs --from > 0")
-            vals = dens._h_shift(-dens.FOUR13 * args.x, g)
+            vals = dens._clamp_density(dens._h_shift(-dens.FOUR13 * args.x, g))
             text = _fmt_rows("t,f", zip(g, vals))
         elif which == "joint2":
             g = _grid(args)
             aa = np.arange(args.a_from, args.a_to + args.a_step / 2, args.a_step)
-            rows = [(t, a, dens.joint_density_two_sided(float(t), float(a)))
-                    for t in g for a in aa if a > 0]
+            aa = aa[aa > 0]
+            rows = [(t, a, f) for t in g for a, f in zip(
+                aa, dens._clamp_density(dens._joint_two_sided_row(float(t), aa)))]
             text = _fmt_rows("t,a,f", rows)
         else:  # pragma: no cover - argparse restricts choices
             return 2

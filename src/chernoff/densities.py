@@ -49,6 +49,7 @@ __all__ = [
     "StartState",
     "DensityTable",
     "ProbabilityRangeError",
+    "NegativeDensityError",
     "StepDegeneracyError",
     "h_density",
     "h_density_fourier",
@@ -90,6 +91,11 @@ class ProbabilityRangeError(ArithmeticError):
 
 class StepDegeneracyError(ValueError):
     """Finite-difference stencil would cross the barrier x = 0."""
+
+
+class NegativeDensityError(ValueError, ArithmeticError):
+    """A density value below -1e-9, which is no rounding residue but a
+    numerical failure; also a ValueError, as an invalid table value."""
 
 
 @dataclass(frozen=True)
@@ -460,54 +466,60 @@ def chernoff_cdf(t) -> np.ndarray:
 # psi and the two-sided laws
 # ----------------------------------------------------------------------------
 
+_G0_DOMAIN = 10.5
+
+
+@lru_cache(maxsize=1)
+def _g0_blocks():
+    """The y-block grid of `_g0_interp`: whole-block prefix integrals
+    (n_y + 1,) and, per unit block, the Legendre coefficients (33, n_y) of
+    the antiderivative from the block's left edge of the degree-31
+    interpolant of the u integral, in the block variable s in [-1, 1]."""
+    leg = np.polynomial.legendre
+    x15, w15 = leg.leggauss(15)
+    u_pts = (np.arange(16.0)[:, None] + 0.5 * (x15[None, :] + 1.0)).ravel()
+    u_wts = np.tile(w15, 16)                       # 2 x (half width 1/2) x w15
+    zu = 1j * u_pts
+    yg, wg = leg.leggauss(32)
+    n_y = int(math.ceil(FOUR13 * _G0_DOMAIN))
+    yy = np.arange(n_y, dtype=float)[:, None] + 0.5 * (yg[None, :] + 1.0)
+    vals = np.exp(airy.log_ai_diff(zu[:, None, None], yy[None, :, :])
+                  - airy.log_ai_many(zu)[:, None, None])  # (nu, n_y, 32)
+    f = np.einsum("ubk,u->bk", vals, u_wts).real / (2.0 * math.pi)
+    coef = np.linalg.solve(leg.legvander(yg, 31), f.T)   # (32, n_y)
+    antider = 0.5 * leg.legint(coef, lbnd=-1.0)          # dy = ds / 2
+    prefix = np.concatenate([[0.0], np.cumsum(0.5 * f @ wg)])
+    return prefix, antider
+
+
+def _g0_vec(xarr) -> np.ndarray:
+    """g(0, -x) from the block data: the whole-block prefix below
+    A = 4^{1/3} x plus the partial block's interpolant integrated to A."""
+    prefix, antider = _g0_blocks()
+    A = FOUR13 * np.asarray(xarr, dtype=np.float64)
+    k = np.minimum(A.astype(int), antider.shape[1] - 1)
+    part = np.polynomial.legendre.legval(2.0 * (A - k) - 1.0, antider[:, k],
+                                         tensor=False)
+    return prefix[k] + part
+
+
 @lru_cache(maxsize=1)
 def _g0_interp():
-    """Chebyshev model of x -> g(0, -x) = tilted_g(0, 4^{1/3} x), x in
-    [0, 10.5]; feeds psi, the two-sided joint law and the max marginal.
+    """Chebyshev model (degree 72) of x -> g(0, -x) = tilted_g(0, 4^{1/3} x)
+    on [0, 10.5]; feeds psi, the two-sided joint law and the max marginal.
 
-    At s = 0 the u,y integrand does not depend on x (only the upper y
-    limit does), so all Chebyshev nodes share one weight grid: prefix
-    integrals over whole y panels plus one batched partial panel per node.
+    At s = 0 the u,y integrand Ai(iu+y)/Ai(iu)^2 does not depend on x, only
+    the upper y limit A = 4^{1/3} x does, so one grid serves every node: 32
+    Gauss nodes in each unit y block below 4^{1/3} 10.5, by 15-point unit
+    panels in u on [-16, 16].  Ai(conj z) = conj Ai(z) makes the u < 0 half
+    the conjugate of the u > 0 half, so only u > 0 is evaluated, with
+    doubled weights, and the real part is kept.  The u integral is taken
+    first, leaving a real function of y on the grid.  A node takes the
+    whole-block prefix below A plus the integral, up to A, of the degree-31
+    Legendre interpolant of that function on A's block (`_g0_vec`).
     """
-    U = 16.0
-    x15, w15 = np.polynomial.legendre.leggauss(15)
-    n_pan = int(math.ceil(2.0 * U / 1.0))
-    edges = np.linspace(-U, U, n_pan + 1)
-    lo, hi = edges[:-1, None], edges[1:, None]
-    u_pts = (0.5 * (lo + hi) + 0.5 * (hi - lo) * x15[None, :]).ravel()
-    u_wts = (0.5 * (hi - lo) * np.broadcast_to(w15, (n_pan, 15))).ravel()
-    zu = 1j * u_pts
-    base = airy.log_ai_many(zu)
-    yg, wg = np.polynomial.legendre.leggauss(32)
-
-    def inner_blocks(y_lo: np.ndarray, y_hi: np.ndarray) -> np.ndarray:
-        # int_{y_lo_j}^{y_hi_j} Ai(iu+y)/Ai(iu)^2 dy, batched over blocks j
-        mid = 0.5 * (y_lo + y_hi)[:, None]
-        half = 0.5 * (y_hi - y_lo)[:, None]
-        yy = mid + half * yg[None, :]                      # (nblk, 32)
-        ld = airy.log_ai_diff(zu[:, None, None], yy[None, :, :])
-        vals = np.exp(ld - base[:, None, None])            # (nu, nblk, 32)
-        return np.einsum("ubk,bk->bu", vals, half * wg[None, :])
-
-    a_max = FOUR13 * 10.5
-    n_y = int(math.ceil(a_max))
-    blocks = inner_blocks(np.arange(n_y, dtype=float),
-                          np.arange(1, n_y + 1, dtype=float))
-    prefix = np.concatenate([np.zeros((1, u_pts.size), dtype=np.complex128),
-                             np.cumsum(blocks, axis=0)])
-
-    def g0_vec(xarr):
-        A = FOUR13 * np.asarray(xarr, dtype=np.float64)
-        k = np.minimum(A.astype(int), n_y)
-        inner = prefix[k]
-        part = A > k
-        if part.any():
-            inner = inner.copy()
-            inner[part] += inner_blocks(k[part].astype(float), A[part])
-        return (inner @ u_wts).real / (2.0 * math.pi)
-
     return np.polynomial.chebyshev.Chebyshev.interpolate(
-        g0_vec, 72, domain=[0.0, 10.5])
+        _g0_vec, 72, domain=[0.0, _G0_DOMAIN])
 
 
 def _g0_fast(xarr) -> np.ndarray:
@@ -583,14 +595,18 @@ def max_density_one_sided(a: float, state: StartState,
     return max((4.0 * d_h2 - d_h) / 3.0, 0.0)
 
 
+def _joint_two_sided_row(t: float, a_arr: np.ndarray) -> np.ndarray:
+    """The two-sided joint density at one time t for an array of levels."""
+    at = abs(t)
+    return _h_over_shifts(FOUR13 * a_arr, at) * _g0_fast(a_arr) * _phi_fast([at])[0]
+
+
 def joint_density_two_sided(t: float, a: float) -> float:
     """Joint density of (argmax location, max) of the two-sided process:
     h_{-a}(|t|) g(0,-a) phi(|t|), a > 0, even in t."""
     if not a > 0.0:
         raise ValueError("requires a > 0")
-    at = abs(t)
-    hval = float(_h_shift(FOUR13 * a, np.asarray([at]))[0])
-    return hval * float(_g0_fast([a])[0]) * _phi_fast([at])[0]
+    return float(_joint_two_sided_row(float(t), np.asarray([float(a)]))[0])
 
 
 _MAX_T_CAP = 14.0
@@ -690,6 +706,16 @@ def max_mean_two_sided(spec: QuadratureSpec | None = None) -> float:
 _TABLE_KINDS = ("argmax", "max", "joint_marginal", "first_passage")
 
 
+def _clamp_density(values) -> np.ndarray:
+    """The nonnegativity rule for tabulated densities: a value in
+    [-1e-9, 0) is rounding and becomes 0, a lower one raises
+    NegativeDensityError.  NaN (a failed point) passes through."""
+    values = np.asarray(values, dtype=np.float64)
+    if np.any(values < -1e-9):
+        raise NegativeDensityError("negative density values")
+    return np.where(values < 0.0, 0.0, values)
+
+
 @dataclass
 class DensityTable:
     """Grid + values + provenance for one tabulated density."""
@@ -708,10 +734,7 @@ class DensityTable:
             raise ValueError("grid must be strictly increasing")
         if self.grid.shape != self.values.shape:
             raise ValueError("grid/value shape mismatch")
-        ok = ~np.isnan(self.values)
-        if np.any(self.values[ok] < -1e-9):
-            raise ValueError("negative density values")
-        self.values[ok & (self.values < 0.0)] = 0.0
+        self.values = _clamp_density(self.values)
 
     def trapezoid_mass(self) -> float:
         ok = ~np.isnan(self.values)

@@ -164,6 +164,34 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     assert not out.exists()  # no partial file left behind
 
 
+@pytest.mark.parametrize("argv", [
+    ("chernoff", "--from", "5", "--to", "6", "--step", "0.5"),
+    ("max2", "--from", "5", "--to", "6", "--step", "0.5"),
+    ("firstpassage", "--from", "5", "--to", "6", "--step", "0.5"),
+    ("phi", "--from", "5", "--to", "6", "--step", "0.5"),
+    ("h", "--from", "5", "--to", "6", "--step", "0.5"),
+    ("joint2", "--from", "4.5", "--to", "5", "--step", "0.5",
+     "--a-from", "0.5", "--a-to", "1", "--a-step", "0.5"),
+])
+def test_tabulate_values_nonnegative(tmp_path, argv):
+    # phi(5.5) and the joint2 value at (5, 0.5) come out of their
+    # quadratures a little below zero
+    out = tmp_path / "t.csv"
+    assert run_main("tabulate", "--which", *argv, "--out", str(out)) == 0
+    data = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    assert np.all(data[:, -1] >= 0.0)
+
+
+def test_negative_density_beyond_rounding_is_numerical_failure(tmp_path,
+                                                               monkeypatch):
+    monkeypatch.setattr(cli.dens, "phi", lambda t, spec=None: -1e-6)
+    out = tmp_path / "x.csv"
+    rc = run_main("tabulate", "--which", "phi", "--from", "0", "--to", "1",
+                  "--step", "0.5", "--out", str(out))
+    assert rc == 3
+    assert not out.exists()
+
+
 def test_tabulate_chernoff_past_cached_phi_domain(tmp_path):
     from chernoff import densities
     out = tmp_path / "tail.csv"

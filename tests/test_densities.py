@@ -220,6 +220,27 @@ def test_psi_rejects_negative_time():
         psi(-0.3)
 
 
+def test_g0_model_within_tilted_g_tolerance():
+    # the cached g(0, .) model against the tilted_g route, at points that
+    # are neither Chebyshev nodes nor y-block edges
+    g0 = dens._g0_interp()
+    for x in (0.03, 0.37, 1.0, 2.2, 4.1):
+        assert abs(g0(x) - survival_prob(StartState(0.0, -x))) < 1e-10
+
+
+def test_g0_blocks_continuous_at_block_edges():
+    # at 4^{1/3} x = k the whole-block prefix takes over from the partial
+    # block's interpolant
+    for k in (1, 2, 5, 12, 16):
+        lo = hi = k / dens.FOUR13
+        while dens.FOUR13 * lo >= k:
+            lo = np.nextafter(lo, 0.0)
+        while dens.FOUR13 * hi < k:
+            hi = np.nextafter(hi, np.inf)
+        g = dens._g0_vec(np.array([lo, hi]))
+        assert abs(g[1] - g[0]) < 1e-14
+
+
 # ----------------------------------------------------------------------------
 # joint laws
 # ----------------------------------------------------------------------------
