@@ -20,6 +20,11 @@ The plane splits at ``|z| = SWITCH_RADIUS`` (= 8):
 Everything is vectorized over numpy arrays; scalar wrappers sit on top.
 ``log_ai_many`` and ``log_ai_diff`` provide overflow-free evaluation of the
 Airy ratios that all the contour integrands in this package are built from.
+``log_ai_many`` needs Ai alone, so inside the disk it takes Ai from
+DLMF 9.6.1, ``Ai(z) = sqrt(z/3) K_{1/3}(zeta) / pi``, through the scaled
+``scipy.special.kve`` wherever ``0 < |z|`` and ``|ph z| <= 2pi/3`` (every
+point ``iu + y``, ``y >= 0``, of the package's integrands); z = 0, points
+whose zeta underflows and the disk points past 2pi/3 stay on AMOS.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ SWITCH_RADIUS = 8.0
 _SECTOR = 2.0 * math.pi / 3.0
 
 _LOG_2SQRTPI = math.log(2.0 * math.sqrt(math.pi))
+_LOG_PI = math.log(math.pi)
 _ROT_M = complex(math.cos(2 * math.pi / 3), -math.sin(2 * math.pi / 3))  # e^{-2i pi/3}
 _ROT_P = complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))   # e^{+2i pi/3}
 
@@ -289,7 +295,19 @@ def log_ai_many(z: np.ndarray) -> np.ndarray:
     r = np.abs(zu)
     m_ser = r < SWITCH_RADIUS
     if m_ser.any():
-        out[m_ser] = np.log(_series_bundle(zu[m_ser])[0])
+        zs = zu[m_ser]
+        # DLMF 9.6.1, Ai alone: Ai(z) = sqrt(z/3) K_{1/3}(zeta) / pi in the
+        # sector; zeta lies in the upper half plane, so a rounded negative
+        # imaginary part on the ray ph z = 2pi/3 is put back on the upper side
+        zeta = (2.0 / 3.0) * zs * np.sqrt(zs)
+        zeta = zeta.real + 1j * np.abs(zeta.imag)
+        kv = (np.angle(zs) <= _SECTOR) & (zeta != 0.0)
+        res = np.empty(zs.shape, dtype=np.complex128)
+        zk, zetak = zs[kv], zeta[kv]
+        res[kv] = (0.5 * np.log(zk / 3.0) - _LOG_PI
+                   + np.log(scipy.special.kve(1.0 / 3.0, zetak)) - zetak)
+        res[~kv] = np.log(_series_bundle(zs[~kv])[0])
+        out[m_ser] = res
 
     m_asy = ~m_ser
     if m_asy.any():

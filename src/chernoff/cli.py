@@ -111,6 +111,8 @@ def cmd_tabulate(args) -> int:
             text = _fmt_rows("t,f", zip(g, vals))
         elif which == "joint2":
             g = _grid(args)
+            _require(math.isfinite(args.a_step) and args.a_step > 0,
+                     "tabulate --which joint2 needs a finite --a-step > 0")
             aa = np.arange(args.a_from, args.a_to + args.a_step / 2, args.a_step)
             aa = aa[aa > 0]
             rows = [(t, a, f) for t in g for a, f in zip(

@@ -323,3 +323,29 @@ def test_values_do_not_depend_on_the_batch():
         for k in range(5):
             assert alone[k].tobytes() == batch[k][i:i + 1].tobytes()
         assert airy.log_ai_many(z[i:i + 1]).tobytes() == logs[i:i + 1].tobytes()
+
+
+def test_log_ai_sector_route_against_mpmath(monkeypatch):
+    # Ai alone by K_{1/3} in the disk sector |ph z| <= 2pi/3; z = 0 stays on AMOS
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(33)
+    sector = airy._SECTOR
+    z = np.sqrt(rng.uniform(0.0, 64.0, 300)) * np.exp(
+        1j * rng.uniform(-sector, sector, 300))
+    edge = np.array([r * np.exp(1j * ph) for r in (1e-8, 0.5, 3.0, 8.0 - 1e-9)
+                     for ph in (sector, -sector, 0.0, math.pi / 2.0)])
+    z = np.concatenate([z, edge])
+    amos = []
+    real_bundle = airy._series_bundle
+    monkeypatch.setattr(airy, "_series_bundle",
+                        lambda w: amos.append(w.size) or real_bundle(w))
+    ours = np.exp(airy.log_ai_many(z))
+    assert sum(amos) == 0
+    with mpmath.workdps(30):
+        ref = np.array([complex(mpmath.airyai(mpmath.mpc(w.real, w.imag)))
+                        for w in z])
+    assert float((np.abs(ours - ref) / np.abs(ref)).max()) < 1e-13
+    at0 = airy.log_ai_many(np.zeros(1))[0]
+    assert np.isfinite(at0) and sum(amos) == 1
+    assert at0 == pytest.approx(math.log(3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)),
+                                abs=1e-15)

@@ -203,6 +203,17 @@ def test_tabulate_chernoff_past_cached_phi_domain(tmp_path):
     assert float(f) == pytest.approx(expected, rel=1e-12)
 
 
+def test_tabulate_max2_past_the_g0_model_domain(tmp_path):
+    # the model covers a <= 10.5; past it the density is below 1e-20, and
+    # an extrapolated model read 11.2 at a = 11 and 2.2e16 at a = 13
+    out = tmp_path / "far.csv"
+    assert run_main("tabulate", "--which", "max2", "--from", "10", "--to", "13",
+                    "--step", "0.5", "--out", str(out)) == 0
+    a, f = np.loadtxt(out, delimiter=",", skiprows=1, unpack=True)
+    assert a.size == 7
+    assert np.all(np.isfinite(f)) and np.all(f >= 0.0) and np.all(f < 1e-15)
+
+
 @pytest.mark.parametrize("argv", [
     ("tabulate", "--which", "max2", "--from", "0", "--to", "1", "--step", "0.5"),
     ("tabulate", "--which", "firstpassage", "--x", "1", "--from", "0.1",
@@ -211,6 +222,10 @@ def test_tabulate_chernoff_past_cached_phi_domain(tmp_path):
     ("simulate", "--what", "argmax", "--tmax", "2"),
     ("compare", "--target", "hitting", "--x", "0"),
     ("compare", "--target", "hitting", "--dt", "1", "--tmax", "0.4"),  # no step
+    ("tabulate", "--which", "joint2", "--from", "0", "--to", "1", "--step", "0.5",
+     "--a-step", "0"),
+    ("tabulate", "--which", "joint2", "--from", "0", "--to", "1", "--step", "0.5",
+     "--a-step", "-0.1"),
 ])
 def test_domain_errors_are_one_line_usage_errors(argv):
     r = run_proc(*argv)

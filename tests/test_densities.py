@@ -32,7 +32,9 @@ from chernoff.densities import (
 from chernoff.quadrature import (
     QuadratureBudgetError,
     QuadratureSpec,
+    airy_ratio_tail_bound,
     gauss_legendre_panels,
+    integrate_real_line,
     integrate_semi_infinite,
 )
 
@@ -155,6 +157,34 @@ def test_start_state_validation():
 # ----------------------------------------------------------------------------
 # phi / f_Z
 # ----------------------------------------------------------------------------
+
+@pytest.mark.parametrize("s, x", [(-0.73, -0.41), (0.37, -1.63)])
+def test_folded_tilted_g_matches_the_full_line(s, x):
+    A = -dens.FOUR13 * x
+    spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9)
+    f, decay = dens._tilted_g_integrand(s, A)
+    full = integrate_real_line(f, decay, spec, frequency=dens.TWO13 * abs(s))
+    folded = tilted_g(s, A, spec)
+    assert abs(folded.value - full.value.real) < 1e-13
+    assert folded.evaluations <= 0.55 * full.evaluations
+
+
+@pytest.mark.parametrize("t", [-1.37, 2.21])
+def test_folded_phi_matches_the_full_line(t):
+    spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)
+    full = integrate_real_line(dens._phi_integrand(t), airy_ratio_tail_bound(0.0),
+                               spec, frequency=dens.TWO13 * abs(t))
+    assert abs(phi(t, spec) - full.value.real) < 1e-13
+
+
+def test_folded_integrands_are_hermitian_bitwise():
+    # f(-u) = conj f(u) is what lets tilted_g and phi integrate u > 0 only
+    u = np.linspace(0.05, 12.0, 240)
+    for f in (dens._tilted_g_integrand(-0.73, 0.9)[0],
+              dens._tilted_g_integrand(0.37, 2.6)[0],
+              dens._phi_integrand(-1.37), dens._phi_integrand(2.21)):
+        assert np.array_equal(f(-u), np.conj(f(u)))
+
 
 def test_phi_real_and_positive():
     for t in (-2.0, 0.0, 1.0):

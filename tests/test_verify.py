@@ -56,6 +56,17 @@ def test_pde_suite_orders():
     assert by_name["pde_tilt_identity"].abs_err < 1e-10
 
 
+@pytest.mark.parametrize("profile", [1.0, 0.01, 0.001])
+def test_pde_order_passes_iff_within_reported_tol(profile):
+    # the orders read 2.0026 (f) and 2.0003 (g): inside the default and
+    # strict windows, outside the 3e-4 window of profile 0.001
+    reports = {r.name: r for r in verify.check_pde_residuals(profile=profile)}
+    for key in ("pde_residual_order_f", "pde_residual_order_g"):
+        r = reports[key]
+        assert r.tol == pytest.approx(0.3 * profile)
+        assert r.passed == (r.abs_err <= r.tol)
+
+
 def test_empty_selection_rejected():
     with pytest.raises(ValueError, match="no checks selected"):
         run_all(suites=())
