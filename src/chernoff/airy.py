@@ -44,7 +44,6 @@ __all__ = [
     "airy_many",
     "airy_ai_log_scaled",
     "log_ai_diff",
-    "ai_ratio",
     "scorer_hi",
     "incomplete_hi",
     "u_lambda",
@@ -390,11 +389,6 @@ def log_ai_diff(z: np.ndarray, shift) -> np.ndarray:
     return np.where(flip, np.conj(out), out)
 
 
-def ai_ratio(znum, zden) -> np.ndarray:
-    """Ai(znum)/Ai(zden) through log space."""
-    return np.exp(log_ai_many(znum) - log_ai_many(zden))
-
-
 # ----------------------------------------------------------------------------
 # Scorer functions
 # ----------------------------------------------------------------------------
@@ -456,7 +450,7 @@ def u_lambda(lam: float, x: float) -> float:
     if x > 0.0:
         raise ValueError("x must be <= 0")
     xi = 2.0 ** (-1.0 / 3.0) * lam
-    val = ai_ratio(np.asarray([xi - 4.0 ** (1.0 / 3.0) * x]), np.asarray([xi]))[0]
+    val = np.exp(log_ai_diff(np.asarray([xi]), -4.0 ** (1.0 / 3.0) * x))[0]
     return float(val.real)
 
 

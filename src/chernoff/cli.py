@@ -107,7 +107,7 @@ def cmd_tabulate(args) -> int:
             _require(args.x < 0, "tabulate --which h needs --x < 0")
             g = _grid(args)
             _require(g[0] > 0, "tabulate --which h needs --from > 0")
-            vals = dens._clamp_density(dens._h_shift(-dens.FOUR13 * args.x, g))
+            vals = dens._clamp_density(dens._h_grid(-dens.FOUR13 * args.x, g)[0])
             text = _fmt_rows("t,f", zip(g, vals))
         elif which == "joint2":
             g = _grid(args)

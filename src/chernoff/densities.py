@@ -79,7 +79,7 @@ FOUR13 = 2.0 ** (2.0 / 3.0)
 
 _TALBOT_M = 30
 _RESIDUE_T_MIN = 0.9
-_N_ZEROS = 56
+_N_ZEROS = 64  # truncation at t = 0.9 under 2e-23, below the series' rounding
 _H_ERR = 2e-10  # validated pointwise accuracy scale of the h inversion
 
 
@@ -139,12 +139,13 @@ def _residue_data():
     return zeros, aip
 
 
-def _h_residue(a: float, ts: np.ndarray) -> np.ndarray:
-    """Residue (spectral) series; accurate for t >= ~0.8."""
+def _h_residue(a_arr, ts: np.ndarray) -> np.ndarray:
+    """Residue (spectral) series, (shifts, times); accurate for t >= ~0.8."""
     zeros, aip = _residue_data()
-    num = airy.airy_many((zeros + a).astype(np.complex128))[0].real
-    coef = TWO13 * num / aip
-    return np.exp(TWO13 * np.outer(ts, zeros)) @ coef
+    args = (zeros[None, :] + np.atleast_1d(a_arr)[:, None]).astype(np.complex128)
+    num = airy.airy_many(args.ravel())[0].real.reshape(args.shape)
+    terms = (TWO13 * num / aip)[:, None, :] * np.exp(TWO13 * np.outer(ts, zeros))
+    return terms.sum(axis=-1)  # per entry, so no entry depends on the grid
 
 
 _TH = np.arange(1, _TALBOT_M) * math.pi / _TALBOT_M
@@ -153,52 +154,34 @@ _TALBOT_S = _TH * (_COT + 1j)                       # contour / r
 _TALBOT_SIG = _TH + (_TH * _COT - 1.0) * _COT       # correction factor
 
 
-def _h_talbot(a: float, ts: np.ndarray) -> np.ndarray:
-    """Fixed-Talbot inversion, vectorized over times."""
+def _h_talbot(a_arr, ts: np.ndarray) -> np.ndarray:
+    """Fixed-Talbot inversion, (shifts, times)."""
+    a_arr = np.atleast_1d(np.asarray(a_arr, dtype=np.float64))
     ts = np.asarray(ts, dtype=np.float64)
     r = 2.0 * _TALBOT_M / (5.0 * ts)
     lam = r[:, None] * _TALBOT_S[None, :]
     xi = 2.0 ** (-1.0 / 3.0) * lam
-    expo = ts[:, None] * lam + airy.log_ai_diff(xi, a)
-    terms = (np.exp(expo) * (1.0 + 1j * _TALBOT_SIG[None, :])).real.sum(axis=1)
+    expo = ts[:, None] * lam + airy.log_ai_diff(xi, a_arr[:, None, None])
+    terms = (np.exp(expo) * (1.0 + 1j * _TALBOT_SIG)).real.sum(axis=-1)
     xi0 = (2.0 ** (-1.0 / 3.0) * r).astype(np.complex128)
-    head = 0.5 * np.exp(ts * r + airy.log_ai_diff(xi0, a).real)
+    head = 0.5 * np.exp(ts * r + airy.log_ai_diff(xi0, a_arr[:, None]).real)
     return (r / _TALBOT_M) * (head + terms)
 
 
-def _h_shift(a: float, ts: np.ndarray) -> np.ndarray:
-    """h with Airy shift a = -4^{1/3} x, vectorized over t > 0."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
-    out = np.zeros(ts.shape)
-    pos = ts > 0.0
-    small = pos & (ts < _RESIDUE_T_MIN)
-    large = pos & ~small
+def _h_grid(a_arr, t_arr) -> np.ndarray:
+    """h on the (shift, time) grid, shape (len(a), len(t)), for Airy shifts
+    a = -4^{1/3} x >= 0: 0 at t <= 0, Talbot below t = 0.9, the residue
+    series from there on."""
+    a_arr = np.atleast_1d(np.asarray(a_arr, dtype=np.float64))
+    t_arr = np.atleast_1d(np.asarray(t_arr, dtype=np.float64))
+    out = np.zeros((a_arr.size, t_arr.size))
+    small = (t_arr > 0.0) & (t_arr < _RESIDUE_T_MIN)
+    large = t_arr >= _RESIDUE_T_MIN
     if small.any():
-        out[small] = _h_talbot(a, ts[small])
+        out[:, small] = _h_talbot(a_arr, t_arr[small])
     if large.any():
-        out[large] = _h_residue(a, ts[large])
+        out[:, large] = _h_residue(a_arr, t_arr[large])
     return out
-
-
-def _h_over_shifts(a_arr: np.ndarray, t: float) -> np.ndarray:
-    """h at one time for an array of shifts (outer integrals over x)."""
-    a_arr = np.asarray(a_arr, dtype=np.float64)
-    if t <= 0.0:
-        return np.zeros(a_arr.shape)
-    if t >= _RESIDUE_T_MIN:
-        zeros, aip = _residue_data()
-        args = (zeros[None, :] + a_arr[:, None]).astype(np.complex128)
-        num = airy.airy_many(args.ravel())[0].real.reshape(args.shape)
-        return (num / aip[None, :] * TWO13) @ np.exp(TWO13 * t * zeros)
-    r = 2.0 * _TALBOT_M / (5.0 * t)
-    lam = r * _TALBOT_S
-    xi = 2.0 ** (-1.0 / 3.0) * lam
-    expo = t * lam[None, :] + airy.log_ai_diff(
-        np.broadcast_to(xi, (a_arr.size, xi.size)), a_arr[:, None])
-    terms = (np.exp(expo) * (1.0 + 1j * _TALBOT_SIG[None, :])).real.sum(axis=1)
-    xi0 = np.full(a_arr.shape, 2.0 ** (-1.0 / 3.0) * r, dtype=np.complex128)
-    head = 0.5 * np.exp(t * r + airy.log_ai_diff(xi0, a_arr).real)
-    return (r / _TALBOT_M) * (head + terms)
 
 
 def h_density(x: float, t: float) -> float:
@@ -211,7 +194,7 @@ def h_density(x: float, t: float) -> float:
         raise ValueError("h_density requires x < 0")
     if not t > 0.0:
         raise ValueError("h_density requires t > 0")
-    return float(_h_shift(-FOUR13 * x, np.asarray([t]))[0])
+    return float(_h_grid(-FOUR13 * x, t)[0, 0])
 
 
 def h_density_fourier(x: float, t: float,
@@ -284,7 +267,7 @@ def hitting_prob(state: StartState, spec: QuadratureSpec | None = None) -> float
         T = hi
 
     def f(tau):
-        return np.exp(2.0 * s * x - _cubic_gap(s, tau)) * _h_shift(a, tau)
+        return np.exp(2.0 * s * x - _cubic_gap(s, tau)) * _h_grid(a, tau)[0]
 
     res = integrate_semi_infinite(
         f, decay, dataclasses.replace(spec, truncation_halfwidth=T))
@@ -296,12 +279,14 @@ def hitting_prob(state: StartState, spec: QuadratureSpec | None = None) -> float
 # g: tilted survival functional
 # ----------------------------------------------------------------------------
 
-def _y_cap(s: float, budget: float = 55.0) -> float:
-    """Upper y beyond which exp(-2^{1/3} s y) Ai(iu+y) is negligible."""
+def _y_cap(s: float) -> float:
+    """Upper y beyond which exp(-2^{1/3} s y) Ai(iu+y) is negligible: the
+    fixed point of y = (3/2 (55 + 2^{1/3} max(0, -s) y))^{2/3}, where the
+    Airy decay (2/3) y^{3/2} outruns the tilt by 55 e-foldings."""
     drive = TWO13 * max(0.0, -s)
     y = 9.0
     for _ in range(80):
-        y_new = (1.5 * (budget + drive * y)) ** (2.0 / 3.0)
+        y_new = (1.5 * (55.0 + drive * y)) ** (2.0 / 3.0)
         if abs(y_new - y) < 1e-9:
             break
         y = y_new
@@ -340,7 +325,7 @@ def tilted_g(s: float, barrier_width: float | None,
     is 2 Re of the integral over u > 0.
     """
     spec = spec or QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9)
-    cap = _y_cap(s, budget=55.0)
+    cap = _y_cap(s)
     A = cap if barrier_width is None else min(float(barrier_width), cap)
     if A <= 0.0:
         return QuadratureResult(0.0, 0.0, 0, 0.0)
@@ -554,7 +539,7 @@ def psi(t: float, spec: QuadratureSpec | None = None) -> float:
 
         def f(warr):
             xs = w * warr
-            return w * _h_over_shifts(FOUR13 * xs, t_eff) * _g0_fast(xs)
+            return w * _h_grid(FOUR13 * xs, t_eff)[:, 0] * _g0_fast(xs)
 
         res = integrate_interval(f, 0.0, 14.0, spec)
         return float(res.value.real)
@@ -562,7 +547,7 @@ def psi(t: float, spec: QuadratureSpec | None = None) -> float:
     cap = 8.0 if t_eff <= 1.5 else 10.0
 
     def f(xarr):
-        return _h_over_shifts(FOUR13 * xarr, t_eff) * _g0_fast(xarr)
+        return _h_grid(FOUR13 * xarr, t_eff)[:, 0] * _g0_fast(xarr)
 
     res = integrate_interval(f, 0.0, cap, spec)
     return float(res.value.real)
@@ -579,7 +564,7 @@ def joint_density_one_sided(t: float, a: float, state: StartState) -> float:
     if not (t > s and a > x):
         raise ValueError("requires t > s and a > x")
     pref = math.exp((2.0 / 3.0) * s ** 3 + 2.0 * s * (x - a))
-    hval = float(_h_shift(FOUR13 * (a - x), np.asarray([t - s]))[0])
+    hval = float(_h_grid(FOUR13 * (a - x), t - s)[0, 0])
     return pref * hval * _phi_fast([t])[0]
 
 
@@ -610,7 +595,7 @@ def max_density_one_sided(a: float, state: StartState,
 def _joint_two_sided_row(t: float, a_arr: np.ndarray) -> np.ndarray:
     """The two-sided joint density at one time t for an array of levels."""
     at = abs(t)
-    return _h_over_shifts(FOUR13 * a_arr, at) * _g0_fast(a_arr) * _phi_fast([at])[0]
+    return _h_grid(FOUR13 * a_arr, at)[:, 0] * _g0_fast(a_arr) * _phi_fast([at])[0]
 
 
 def joint_density_two_sided(t: float, a: float) -> float:
@@ -624,34 +609,27 @@ def joint_density_two_sided(t: float, a: float) -> float:
 _MAX_T_CAP = 14.0
 
 
-@lru_cache(maxsize=4)
-def _hphi_grid(n_per_unit: int = 12):
-    """Fixed Gauss-Legendre grid over t in (0, 14] with phi values, for the
-    inner time integral of the two-sided max marginal."""
-    pts, wts = gauss_legendre_panels(0.0, _MAX_T_CAP, nodes_per_unit=n_per_unit)
+@lru_cache(maxsize=1)
+def _hphi_grid():
+    """Fixed Gauss-Legendre grid over t in (0, 14], 12 nodes per unit, with
+    phi values, for the inner time integral of the two-sided max marginal."""
+    pts, wts = gauss_legendre_panels(0.0, _MAX_T_CAP, nodes_per_unit=12)
     return pts, wts, _phi_fast(pts)
 
 
 def _max_marginal_quadrature(a_arr: np.ndarray) -> np.ndarray:
     """Two-sided max marginal f_M(a) = 2 g(0,-a) int_0^inf h_{-a}(t) phi(t) dt.
 
-    Direct quadrature of the joint law over the argmax time; the t grid
+    Direct quadrature of the joint law over the argmax time.  The t grid
     under-resolves the O(a^2) passage boundary layer below a ~ 0.1, so this
-    is the cross-check route, not the primary one.
+    route serves the tail a >= 5 and cross-checks the model below.
     """
     a_arr = np.atleast_1d(np.asarray(a_arr, dtype=np.float64))
     pts, wts, pvals = _hphi_grid()
-    small = pts < _RESIDUE_T_MIN
-    inner = np.zeros(a_arr.shape)
-    zeros, aip = _residue_data()
-    args = (zeros[None, :] + FOUR13 * a_arr[:, None]).astype(np.complex128)
-    num = airy.airy_many(args.ravel())[0].real.reshape(args.shape)
-    coef = TWO13 * num / aip[None, :]
-    eig = np.exp(TWO13 * np.outer(zeros, pts[~small]))
-    inner += (coef @ eig) @ (wts[~small] * pvals[~small])
-    for tt, ww, pv in zip(pts[small], wts[small], pvals[small]):
-        inner += ww * pv * _h_over_shifts(FOUR13 * a_arr, float(tt))
-    return 2.0 * _g0_fast(a_arr) * inner
+    return 2.0 * _g0_fast(a_arr) * (_h_grid(FOUR13 * a_arr, pts) @ (wts * pvals))
+
+
+_MAX_MODEL_CAP = 5.0
 
 
 def _max_marginal_many(a_arr: np.ndarray) -> np.ndarray:
@@ -659,14 +637,15 @@ def _max_marginal_many(a_arr: np.ndarray) -> np.ndarray:
 
     The two halves of the path are independent, so the max CDF factorizes:
     F_M(a) = g(0,-a)^2, hence f_M(a) = 2 g(0,-a) d/da g(0,-a), evaluated by
-    differentiating the Chebyshev survival model.  The model is not
-    extrapolated past its domain a <= 10.5, nor differentiated at its edge
-    (8.8e-11 there, against a true 1.6e-22): from a = 10.5 on the direct
-    quadrature route is used, where g(0,-a) reads 1 and f_M < 1e-20.
+    differentiating the Chebyshev survival model below a = 5.  Past it the
+    model's derivative loses digits fast (relative error 1.5e-7 at a = 5,
+    9.4e-5 at 6, wrong signs from 8.25 on), while the quadrature route reads
+    within 1e-8 of the direct u integral at a = 5 and within 1e-3 up to
+    a = 10, so a >= 5 takes that route.
     """
     a_arr = np.atleast_1d(np.asarray(a_arr, dtype=np.float64))
     out = 2.0 * _g0_fast(a_arr) * _g0_interp().deriv()(a_arr)
-    far = a_arr >= _G0_DOMAIN
+    far = a_arr >= _MAX_MODEL_CAP
     if far.any():
         out[far] = _max_marginal_quadrature(a_arr[far])
     return np.clip(out, 0.0, None)
@@ -758,12 +737,6 @@ class DensityTable:
         ok = ~np.isnan(self.values)
         return float(np.trapezoid(self.values[ok], self.grid[ok]))
 
-    def to_csv(self, header: str = "t,f") -> str:
-        lines = [header]
-        for g, v in zip(self.grid, self.values):
-            lines.append("%.17g,%.17g" % (g, v))
-        return "\n".join(lines) + "\n"
-
 
 def tabulate(kind: str, grid, spec: QuadratureSpec | None = None,
              state: StartState | None = None) -> DensityTable:
@@ -798,7 +771,7 @@ def tabulate(kind: str, grid, spec: QuadratureSpec | None = None,
         tau = grid - s
         if np.any(tau <= 0.0):
             raise ValueError("first_passage grid must lie above the start time")
-        values = np.exp(2.0 * s * x - _cubic_gap(s, tau)) * _h_shift(state.shift, tau)
+        values = np.exp(2.0 * s * x - _cubic_gap(s, tau)) * _h_grid(state.shift, tau)[0]
         meta["mass_target"] = hitting_prob(state)
         meta["mass_tol"] = 1e-4
     elif kind == "max":

@@ -36,6 +36,7 @@ __all__ = [
     "check_psi_phi",
     "check_laplace_roundtrip",
     "check_survival_tilt_limit",
+    "check_incomplete_scorer_ode",
     "check_chernoff_density",
     "check_moment_relation",
     "MC_CHECKS",
@@ -251,7 +252,7 @@ def check_laplace_roundtrip(lambdas: Sequence[float] = (0.5, 1.0, 2.0),
         spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10,
                               truncation_halfwidth=max(14.0, 40.0 / (lam + rate)))
         return integrate_semi_infinite(
-            lambda u: np.exp(-lam * u) * dens._h_shift(a, u),
+            lambda u: np.exp(-lam * u) * dens._h_grid(a, u)[0],
             lambda U: 2.0 * math.exp(-(lam + rate) * U), spec).value.real
 
     for lam in lambdas:
@@ -298,6 +299,34 @@ def check_survival_tilt_limit(ss: Sequence[float] = (-1.0, 0.0, 1.0, 2.0),
     out.append(CheckReport.build("survival_limit_gap_x-8", 0.0, gap,
                                  _scaled(1e-4, profile), t0))
     return out
+
+
+_SCORER_POINTS = ((0.5, 0.0), (-1.2 + 0.7j, 0.0), (1.5, 0.0), (1.0 + 0.5j, 0.4),
+                  (-0.7 + 1.1j, -0.6), (1.2 - 0.8j, 1.0), (-2.0, 0.8),
+                  (0.3 - 1.5j, -1.0))
+_D2_STEP = 0.015
+_D2_STENCIL = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
+
+
+def check_incomplete_scorer_ode(profile: float = 1.0) -> list[CheckReport]:
+    """w(z) = incomplete_hi(z, s) solves w'' - z w = (1/pi) e^{sz - s^3/3},
+    and its s = 0 case, Scorer's Hi = scorer_hi, solves Hi'' - z Hi = 1/pi.
+    w'' from the 7-point sixth-order stencil at step 0.015 (about 3e-12 of
+    truncation and rounding); residual relative to max(1, |z w|, |rhs|),
+    worst over the points, one report for s = 0 and one for s != 0."""
+    worst = {True: 0.0, False: 0.0}
+    t0 = time.perf_counter()
+    for z, s in _SCORER_POINTS:
+        zs = z + _D2_STEP * np.arange(-3, 4)
+        w = np.array([airy.scorer_hi(zk) if s == 0.0 else airy.incomplete_hi(zk, s)
+                      for zk in zs])
+        rhs = np.exp(s * z - s ** 3 / 3.0) / math.pi
+        resid = abs(_D2_STENCIL @ w / _D2_STEP ** 2 - z * w[3] - rhs)
+        worst[s == 0.0] = max(worst[s == 0.0],
+                              resid / max(1.0, abs(z * w[3]), abs(rhs)))
+    return [CheckReport.build(name, 0.0, worst[at_zero], _scaled(1e-9, profile), t0)
+            for name, at_zero in (("scorer_hi_ode", True),
+                                  ("incomplete_hi_ode", False))]
 
 
 def check_chernoff_density(profile: float = 1.0) -> list[CheckReport]:
@@ -382,8 +411,8 @@ def mc_concordance(cfg: mcsim.McConfig, checks: Sequence[str] = MC_CHECKS,
 SUITES = {
     "airy": ("wronskian", "connection", "regime_continuity"),
     "identities": ("airy_inverse_square", "master_relation", "psi_phi",
-                   "laplace_roundtrip", "survival_tilt_limit", "chernoff_density",
-                   "moment_relation"),
+                   "laplace_roundtrip", "survival_tilt_limit", "incomplete_scorer_ode",
+                   "chernoff_density", "moment_relation"),
     "pde": ("pde_residuals",),
 }
 
@@ -397,6 +426,7 @@ _CHECKS: dict[str, Callable[[float], object]] = {
     "psi_phi": check_psi_phi,
     "laplace_roundtrip": check_laplace_roundtrip,
     "survival_tilt_limit": check_survival_tilt_limit,
+    "incomplete_scorer_ode": check_incomplete_scorer_ode,
     "chernoff_density": check_chernoff_density,
     "moment_relation": check_moment_relation,
 }

@@ -59,7 +59,7 @@ def test_h_laplace_transform_at_zero_and_one():
         spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10,
                               truncation_halfwidth=16.0)
         res = integrate_semi_infinite(
-            lambda u: np.exp(-lam * u) * dens._h_shift(a, u),
+            lambda u: np.exp(-lam * u) * dens._h_grid(a, u)[0],
             lambda U: 2.0 * math.exp(-(lam + 2.9) * U), spec)
         assert abs(res.value.real - target) < 1e-8
 
@@ -67,7 +67,7 @@ def test_h_laplace_transform_at_zero_and_one():
 def test_h_nonnegative_on_grid():
     for x in (-0.25, -1.0, -2.0):
         ts = np.linspace(0.05, 5.0, 100)
-        vals = dens._h_shift(-dens.FOUR13 * x, ts)
+        vals = dens._h_grid(-dens.FOUR13 * x, ts)[0]
         assert np.all(vals > -2e-10)
 
 
@@ -240,7 +240,7 @@ def test_psi_at_zero_is_half_phi_zero():
 
 def test_psi_integrand_pointwise_nonnegative():
     xs = np.linspace(0.05, 4.0, 24)
-    h_vals = dens._h_over_shifts(dens.FOUR13 * xs, 1.0)
+    h_vals = dens._h_grid(dens.FOUR13 * xs, 1.0)[:, 0]
     g_vals = dens._g0_fast(xs)
     assert np.all(h_vals * g_vals > -1e-12)
 
@@ -284,9 +284,7 @@ def test_joint_one_sided_unit_mass():
     st = StartState(0.0, 0.0)
     tg = _graded_grid(1e-6, 4.0, 220)
     ag = _graded_grid(1e-6, 4.0, 220)
-    H = np.empty((ag.size, tg.size))
-    for j, tt in enumerate(tg):
-        H[:, j] = dens._h_over_shifts(dens.FOUR13 * ag, float(tt))
+    H = dens._h_grid(dens.FOUR13 * ag, tg)
     pv = dens._phi_fast(tg)
     inner = np.trapezoid(H * pv[None, :], tg, axis=1)
     mass = np.trapezoid(inner, ag)
@@ -299,8 +297,7 @@ def test_joint_one_sided_factorizes_in_a():
     vals = []
     for a in (0.4, 1.3):
         num = joint_density_one_sided(t, a, st)
-        hval = float(dens._h_shift(dens.FOUR13 * (a - st.x),
-                                   np.array([t - st.s]))[0])
+        hval = float(dens._h_grid(dens.FOUR13 * (a - st.x), t - st.s)[0, 0])
         vals.append(num / hval / math.exp(2.0 * st.s * (st.x - a)))
     assert abs(vals[0] - vals[1]) < 1e-9 * abs(vals[0])
 
@@ -311,7 +308,7 @@ def test_joint_one_sided_marginal_matches_fd_max_density():
     ts = np.linspace(1e-4, 12.0, 2400)
     joint = np.array([joint_density_one_sided(float(t), a, st) for t in ts[:0]])
     # vectorized: joint(t, a) = h_{-a}(t) phi(t) at the origin state
-    hv = dens._h_shift(dens.FOUR13 * a, ts)
+    hv = dens._h_grid(dens.FOUR13 * a, ts)[0]
     pv = np.array([dens._phi_fast([t])[0] if abs(t) <= 4.8 else phi(float(t))
                    for t in ts])
     marginal = np.trapezoid(hv * pv, ts)
@@ -352,9 +349,7 @@ def test_joint_two_sided_even_in_t():
 def test_joint_two_sided_unit_mass():
     tg = _graded_grid(1e-6, 4.0, 200)
     ag = _graded_grid(1e-6, 4.0, 200)
-    H = np.empty((ag.size, tg.size))
-    for j, tt in enumerate(tg):
-        H[:, j] = dens._h_over_shifts(dens.FOUR13 * ag, float(tt))
+    H = dens._h_grid(dens.FOUR13 * ag, tg)
     pv = dens._phi_fast(tg)
     g0 = dens._g0_fast(ag)
     inner = np.trapezoid(H * pv[None, :], tg, axis=1)
@@ -374,6 +369,28 @@ def test_max_marginal_routes_agree_where_quadrature_converged():
     d1 = dens._max_marginal_many(aa)
     d2 = dens._max_marginal_quadrature(aa)
     assert np.all(np.abs(d1 - d2) < 1e-5)
+
+
+@pytest.mark.parametrize("a", [7.5, 8.0, 9.0, 10.0])
+def test_max_marginal_far_tail_matches_direct_integral(a):
+    # f_M(a) = 2 g(0,-a) g'(a), g'(a) = 4^{1/3} (1/2pi) int Ai(iu+A)/Ai(iu)^2 du
+    # with A = 4^{1/3} a.  The integrand is divided by its value at u = 0, so
+    # the adaptive error control acts at the scale of f_M (1e-13 to 1e-21).
+    A = dens.FOUR13 * a
+    z0 = np.array([0j])
+    scale = float(np.exp(airy.log_ai_diff(z0, A) - airy.log_ai_many(z0))[0].real)
+
+    def f(u):
+        zu = 1j * u
+        return np.exp(airy.log_ai_diff(zu, A) - airy.log_ai_many(zu)) / scale
+
+    tail = airy_ratio_tail_bound(A)
+    res = integrate_real_line(f, lambda U: tail(U) / scale,
+                              QuadratureSpec(abs_tol=1e-14, rel_tol=1e-12),
+                              frequency=math.sqrt(A))
+    want = (2.0 * tilted_g(0.0, A).value.real * dens.FOUR13 * scale
+            * res.value.real / (2.0 * math.pi))
+    assert abs(max_marginal_two_sided(a) - want) < 1e-3 * want
 
 
 def test_max_marginal_normalizes():
@@ -461,10 +478,3 @@ def test_density_table_validation():
         DensityTable(np.array([0.0, 1.0]), np.zeros(2), "bogus")
     with pytest.raises(ValueError):
         DensityTable(np.array([0.0, 1.0]), np.array([-1.0, 0.0]), "argmax")
-
-
-def test_tabulate_csv_shape():
-    table = tabulate("argmax", np.linspace(-1.0, 1.0, 5))
-    text = table.to_csv()
-    lines = text.splitlines()
-    assert lines[0] == "t,f" and len(lines) == 6 and text.endswith("\n")

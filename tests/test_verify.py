@@ -116,3 +116,17 @@ def test_mc_concordance_selects_checks_and_states():
     assert 0.0 < rep.computed < 1.0
     with pytest.raises(ValueError):
         verify.mc_concordance(cfg, ("nope",))
+
+
+def test_incomplete_scorer_ode_check_passes_strict_and_rejects_a_perturbation(
+        monkeypatch):
+    assert "incomplete_scorer_ode" in verify.SUITES["identities"]
+    reports = verify.check_incomplete_scorer_ode(profile=0.01)
+    assert [r.name for r in reports] == ["scorer_hi_ode", "incomplete_hi_ode"]
+    assert all(r.passed and r.abs_err <= 0.5 * r.tol for r in reports)
+    # a wrong normalization by one part in a million breaks both equations
+    hi, inc = verify.airy.scorer_hi, verify.airy.incomplete_hi
+    monkeypatch.setattr(verify.airy, "scorer_hi", lambda z: hi(z) * (1.0 + 1e-6))
+    monkeypatch.setattr(verify.airy, "incomplete_hi",
+                        lambda z, s: inc(z, s) * (1.0 + 1e-6))
+    assert not any(r.passed for r in verify.check_incomplete_scorer_ode())
