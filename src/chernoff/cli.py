@@ -53,11 +53,15 @@ def _checked(make, *args, **kw):
 
 
 def _grid(args) -> np.ndarray:
-    if args.step <= 0 or args.to <= getattr(args, "from"):
-        raise _UsageError("need step > 0 and --to > --from")
-    n = int(round((args.to - getattr(args, "from")) / args.step))
-    g = getattr(args, "from") + args.step * np.arange(n + 1)
-    return g[g <= args.to + 1e-12 * max(1.0, abs(args.to))]
+    lo, hi, step = getattr(args, "from"), args.to, args.step
+    _require(all(map(math.isfinite, (lo, hi, step))) and step > 0 and hi > lo,
+             "need finite --from, --to, --step with step > 0 and --to > --from")
+    try:
+        k = np.arange(int(round((hi - lo) / step)) + 1)
+    except (OverflowError, ValueError, MemoryError):
+        raise _UsageError("--step %g gives too many grid points" % step) from None
+    g = lo + step * k
+    return g[g <= hi + 1e-12 * max(1.0, abs(hi))]
 
 
 def _write_out(path: str | None, text: str) -> None:

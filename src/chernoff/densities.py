@@ -78,6 +78,7 @@ TWO13 = 2.0 ** (1.0 / 3.0)
 FOUR13 = 2.0 ** (2.0 / 3.0)
 
 _TALBOT_M = 30
+_TALBOT_T_MIN = 1e-12
 _RESIDUE_T_MIN = 0.9
 _N_ZEROS = 64  # truncation at t = 0.9 under 2e-23, below the series' rounding
 _H_ERR = 2e-10  # validated pointwise accuracy scale of the h inversion
@@ -168,15 +169,30 @@ def _h_talbot(a_arr, ts: np.ndarray) -> np.ndarray:
     return (r / _TALBOT_M) * (head + terms)
 
 
+def _h_brownian(a_arr, ts: np.ndarray) -> np.ndarray:
+    """Small-time limit of h, (shifts, times): the driftless first-passage
+    density |x| (2 pi t^3)^{-1/2} exp(-x^2/(2t)) at x = -a/4^{1/3}.  Its
+    relative error is O(t^{3/2}) wherever h is representable, so below
+    1e-12 it is exact in double precision; in log form it stays finite
+    down to subnormal t, where the Talbot contour 12/t overflows."""
+    x = np.atleast_1d(a_arr)[:, None] / FOUR13
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.exp(np.log(x) - 0.5 * math.log(2.0 * math.pi)
+                      - 1.5 * np.log(ts) - x * x / (2.0 * ts))
+
+
 def _h_grid(a_arr, t_arr) -> np.ndarray:
     """h on the (shift, time) grid, shape (len(a), len(t)), for Airy shifts
-    a = -4^{1/3} x >= 0: 0 at t <= 0, Talbot below t = 0.9, the residue
-    series from there on."""
+    a = -4^{1/3} x >= 0: 0 at t <= 0, the small-time limit below 1e-12,
+    Talbot below t = 0.9, the residue series from there on."""
     a_arr = np.atleast_1d(np.asarray(a_arr, dtype=np.float64))
     t_arr = np.atleast_1d(np.asarray(t_arr, dtype=np.float64))
     out = np.zeros((a_arr.size, t_arr.size))
-    small = (t_arr > 0.0) & (t_arr < _RESIDUE_T_MIN)
+    tiny = (t_arr > 0.0) & (t_arr < _TALBOT_T_MIN)
+    small = (t_arr >= _TALBOT_T_MIN) & (t_arr < _RESIDUE_T_MIN)
     large = t_arr >= _RESIDUE_T_MIN
+    if tiny.any():
+        out[:, tiny] = _h_brownian(a_arr, t_arr[tiny])
     if small.any():
         out[:, small] = _h_talbot(a_arr, t_arr[small])
     if large.any():
@@ -293,10 +309,16 @@ def _y_cap(s: float) -> float:
     return max(3.0, y)
 
 
+# Gauss-Legendre nodes per unit y panel.  The inner integrand is entire, so
+# on the (s, A) grid of test_tilted_g_inner_y_rule_has_converged 8 nodes
+# already agree with 32 to 9e-16 (6 nodes: 5e-11); 16 keeps a 2x margin.
+_Y_NODES = 16
+
+
 def _tilted_g_integrand(s: float, A: float):
     """The u integrand of `tilted_g` at barrier width A > 0 and the bound on
     its integral over both tails |u| > U."""
-    y_pts, y_wts = gauss_legendre_panels(0.0, A, nodes_per_unit=32)
+    y_pts, y_wts = gauss_legendre_panels(0.0, A, nodes_per_unit=_Y_NODES)
 
     def outer(u):
         zu = 1j * u

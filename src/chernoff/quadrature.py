@@ -250,7 +250,7 @@ def airy_ratio_tail_bound(shift: float = 0.0) -> Callable[[float], float]:
     return bound
 
 
-def gauss_legendre_panels(a: float, b: float, nodes_per_unit: int = 32):
+def gauss_legendre_panels(a: float, b: float, nodes_per_unit: int):
     """Fixed composite Gauss-Legendre rule on [a, b].
 
     Returns (points, weights).  Panel length <= 1 with a ``nodes_per_unit``-

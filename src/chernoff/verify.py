@@ -258,13 +258,11 @@ def check_laplace_roundtrip(lambdas: Sequence[float] = (0.5, 1.0, 2.0),
     for lam in lambdas:
         for x in xs:
             t0 = time.perf_counter()
-            xi = 2.0 ** (-1.0 / 3.0) * lam
-            target = float(np.exp(airy.log_ai_diff(
-                np.asarray([xi + 0j]), -dens.FOUR13 * x))[0].real)
             out.append(CheckReport.build(
-                "laplace_roundtrip_lam%.2f_x%+.2f" % (lam, x), target,
-                roundtrip(lam, x), _scaled(1e-8, profile), t0))
-    # lam = 0: plain mass of h equals Ai(-4^{1/3}x)/Ai(0)
+                "laplace_roundtrip_lam%.2f_x%+.2f" % (lam, x),
+                airy.u_lambda(lam, x), roundtrip(lam, x),
+                _scaled(1e-8, profile), t0))
+    # lam = 0: plain mass of h equals Ai(-4^{1/3}x)/Ai(0); u_lambda needs lam > 0
     for x in xs:
         t0 = time.perf_counter()
         target = float(np.exp(airy.log_ai_diff(

@@ -1,11 +1,14 @@
 """CLI: verbs, flags, exit codes, CSV shape, reproducibility."""
 
+import argparse
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from chernoff import cli
 from chernoff.quadrature import QuadratureBudgetError, QuadratureResult
@@ -71,6 +74,15 @@ def test_tabulate_h_laplace_mass(tmp_path):
     target = float(np.exp(airy.log_ai_many(np.array([4.0 ** (1 / 3) + 0j]))
                           - airy.log_ai_many(np.array([0j])))[0].real)
     assert abs(mass - target) < 1e-3
+
+
+def test_tabulate_h_at_subnormal_times(tmp_path):
+    # the Talbot radius 12/t overflows here; h at x = -1 underflows to 0
+    out = tmp_path / "h.csv"
+    assert run_main("tabulate", "--which", "h", "--x", "-1", "--from", "1e-310",
+                    "--to", "3e-310", "--step", "1e-310", "--out", str(out)) == 0
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert data.shape == (3, 2) and np.all(data[:, 1] == 0.0)
 
 
 def test_tabulate_joint2_columns(tmp_path):
@@ -226,9 +238,27 @@ def test_tabulate_max2_past_the_g0_model_domain(tmp_path):
      "--a-step", "0"),
     ("tabulate", "--which", "joint2", "--from", "0", "--to", "1", "--step", "0.5",
      "--a-step", "-0.1"),
+    ("tabulate", "--which", "phi", "--from", "0", "--to", "1", "--step", "nan"),
+    ("tabulate", "--which", "phi", "--from", "nan", "--to", "1", "--step", "0.5"),
+    ("tabulate", "--which", "phi", "--from", "0", "--to", "inf", "--step", "0.5"),
+    ("tabulate", "--which", "phi", "--from", "0", "--to", "1", "--step", "inf"),
+    ("tabulate", "--which", "phi", "--from", "0", "--to", "1", "--step", "1e-300"),
 ])
 def test_domain_errors_are_one_line_usage_errors(argv):
     r = run_proc(*argv)
     assert r.returncode == 2
     lines = r.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("usage error: ")
+
+
+@given(st.floats(-1e3, 1e3), st.floats(1e-6, 1e3), st.integers(0, 1000),
+       st.floats(0.0, 1.0, exclude_max=True))
+def test_grid_starts_at_from_steps_evenly_and_ends_at_to(lo, step, n, frac):
+    # --to lies n + frac steps past --from, so the grid has at most n + 2 points
+    hi = lo + (n + frac) * step
+    assume(hi > lo)
+    g = cli._grid(argparse.Namespace(**{"from": lo, "to": hi, "step": step}))
+    tol = 8.0 * np.finfo(float).eps * (abs(lo) + abs(hi) + step)
+    assert g[0] == lo and g.size <= n + 2
+    assert np.all(np.abs(np.diff(g) - step) <= tol)
+    assert hi - step - tol <= g[-1] <= hi + 1e-12 * max(1.0, abs(hi))

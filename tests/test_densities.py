@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as hst
 
 from chernoff import airy
 from chernoff import densities as dens
@@ -87,6 +88,22 @@ def test_h_inversion_routes_agree():
     assert np.abs(dens._h_talbot(a, ts) - dens._h_residue(a, ts)).max() < 1e-9
 
 
+def test_h_small_time_limit_below_the_talbot_range():
+    # the Talbot contour gives nan below t ~ 1e-205 and its radius 12/t
+    # overflows below ~1e-307; h at x = -1 and -2 underflows there
+    ts = np.array([3e-310, 1e-307, 1e-250, 1e-100, 1e-13])
+    assert np.all(dens._h_grid([dens.FOUR13, 2.0 * dens.FOUR13], ts) == 0.0)
+    # where the two routes meet they agree, at x^2/(2t) = 0.5 and 5
+    t = np.array([1e-12])
+    for m in (0.5, 5.0):
+        a = dens.FOUR13 * math.sqrt(2.0 * m * t[0])
+        talbot = dens._h_talbot(a, t)[0, 0]
+        assert abs(dens._h_brownian(a, t)[0, 0] - talbot) <= 1e-11 * talbot
+    # and below it h is the driftless first-passage density
+    assert dens._h_grid(1e-7 * dens.FOUR13, 1e-14)[0, 0] == pytest.approx(
+        bm_first_passage_density(1e-7, 1e-14), rel=1e-14)
+
+
 def test_h_fourier_imaginary_part_within_estimate():
     res = h_density_fourier(-1.0, 0.7)
     assert abs(res.value.imag) <= res.err_estimate
@@ -154,6 +171,23 @@ def test_start_state_validation():
         StartState(float("nan"), -1.0)
 
 
+_FINITE = hst.floats(allow_nan=False, allow_infinity=False)
+_NON_FINITE = hst.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@given(_FINITE, hst.floats(max_value=0.0, allow_infinity=False))
+def test_start_state_accepts_finite_levels_at_or_below_the_barrier(s, x):
+    assert StartState(s, x).shift >= 0.0
+
+
+@given(hst.one_of(hst.tuples(_FINITE, hst.floats(min_value=0.0, exclude_min=True)),
+                 hst.tuples(_NON_FINITE, hst.floats()),
+                 hst.tuples(hst.floats(), _NON_FINITE)))
+def test_start_state_rejects_levels_above_the_barrier_and_non_finite(sx):
+    with pytest.raises(ValueError):
+        StartState(*sx)
+
+
 # ----------------------------------------------------------------------------
 # phi / f_Z
 # ----------------------------------------------------------------------------
@@ -184,6 +218,38 @@ def test_folded_integrands_are_hermitian_bitwise():
               dens._tilted_g_integrand(0.37, 2.6)[0],
               dens._phi_integrand(-1.37), dens._phi_integrand(2.21)):
         assert np.array_equal(f(-u), np.conj(f(u)))
+
+
+@pytest.mark.parametrize("s", [-2.0, -0.73, 0.0, 0.37, 0.5, 2.0])
+def test_tilted_g_inner_y_rule_has_converged(s, monkeypatch):
+    # tilted_g's err_estimate covers the u integral only; agreement of the
+    # shipped y rule with both a finer and a coarser one shows the y rule
+    # contributes nothing at the scale of double rounding
+    widths = (0.05, 0.4, 1.6, 4.0, 9.0, None)  # None: the _y_cap limit
+
+    def values(nodes):
+        monkeypatch.setattr(dens, "_Y_NODES", nodes)
+        return [tilted_g(s, A).value.real for A in widths]
+
+    shipped = values(dens._Y_NODES)
+    for nodes in (32, 12):
+        for g, other in zip(shipped, values(nodes)):
+            assert abs(g - other) <= 1e-13 * max(1.0, abs(g))
+
+
+def test_tilted_g_airy_point_budget(monkeypatch):
+    # p(0.5) takes 285 u nodes; with 32 y nodes per unit panel its 19
+    # panels sent 285 x 608 = 173,280 points to log_ai_diff
+    count = [0]
+    log_ai_diff = airy.log_ai_diff
+
+    def counted(z, a):
+        count[0] += np.broadcast(np.asarray(z), np.asarray(a)).size
+        return log_ai_diff(z, a)
+
+    monkeypatch.setattr(airy, "log_ai_diff", counted)
+    tilted_g(0.5, None)
+    assert 0 < count[0] <= 173_280 // 2
 
 
 def test_phi_real_and_positive():

@@ -13,7 +13,7 @@ _EARLY = st.lists(st.one_of(st.floats(-1.0, 0.0),
 _LATE = st.lists(st.floats(0.9, 4.0), min_size=1, max_size=3)
 
 
-@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@settings(max_examples=30)
 @given(_SHIFTS, _EARLY, _LATE)
 def test_h_grid_rows_and_columns_match_single_evaluations(a, early, late):
     a = np.array(a)
