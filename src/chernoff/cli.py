@@ -52,14 +52,19 @@ def _checked(make, *args, **kw):
         raise _UsageError(str(exc)) from None
 
 
-def _grid(args) -> np.ndarray:
-    lo, hi, step = getattr(args, "from"), args.to, args.step
+def _grid(args, axis: str = "") -> np.ndarray:
+    """The evenly stepped grid of one axis: --from, --to, --step, or with
+    axis "a_" the joint2 levels --a-from, --a-to, --a-step."""
+    names = [axis + n for n in ("from", "to", "step")]
+    lo, hi, step = (getattr(args, n) for n in names)
+    flo, fhi, fstep = ("--" + n.replace("_", "-") for n in names)
     _require(all(map(math.isfinite, (lo, hi, step))) and step > 0 and hi > lo,
-             "need finite --from, --to, --step with step > 0 and --to > --from")
+             "need finite %s, %s, %s with step > 0 and %s > %s"
+             % (flo, fhi, fstep, fhi, flo))
     try:
         k = np.arange(int(round((hi - lo) / step)) + 1)
     except (OverflowError, ValueError, MemoryError):
-        raise _UsageError("--step %g gives too many grid points" % step) from None
+        raise _UsageError("%s %g gives too many grid points" % (fstep, step)) from None
     g = lo + step * k
     return g[g <= hi + 1e-12 * max(1.0, abs(hi))]
 
@@ -86,7 +91,7 @@ def _fmt_rows(header: str, rows) -> str:
 # ----------------------------------------------------------------------------
 
 def cmd_tabulate(args) -> int:
-    spec = QuadratureSpec(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
+    spec = _checked(QuadratureSpec, abs_tol=args.abs_tol, rel_tol=args.rel_tol)
     which = args.which
     try:
         if which == "chernoff":
@@ -109,16 +114,14 @@ def cmd_tabulate(args) -> int:
             text = _fmt_rows("t,f", zip(g, vals))
         elif which == "h":
             _require(args.x < 0, "tabulate --which h needs --x < 0")
+            shift = _checked(StartState, 0.0, args.x).shift
             g = _grid(args)
             _require(g[0] > 0, "tabulate --which h needs --from > 0")
-            vals = dens._clamp_density(dens._h_grid(-dens.FOUR13 * args.x, g)[0])
+            vals = dens._clamp_density(dens._h_grid(shift, g)[0])
             text = _fmt_rows("t,f", zip(g, vals))
         elif which == "joint2":
-            g = _grid(args)
-            _require(math.isfinite(args.a_step) and args.a_step > 0,
-                     "tabulate --which joint2 needs a finite --a-step > 0")
-            aa = np.arange(args.a_from, args.a_to + args.a_step / 2, args.a_step)
-            aa = aa[aa > 0]
+            g, aa = _grid(args), _grid(args, "a_")
+            _require(aa[0] > 0.0, "tabulate --which joint2 needs --a-from > 0")
             rows = [(t, a, f) for t in g for a, f in zip(
                 aa, dens._clamp_density(dens._joint_two_sided_row(float(t), aa)))]
             text = _fmt_rows("t,a,f", rows)

@@ -110,6 +110,9 @@ class StartState:
             raise ValueError("non-finite start state")
         if self.x > 0.0:
             raise ValueError("start level must satisfy x <= 0")
+        if not math.isfinite(self.shift):
+            raise ValueError("start level x = %g overflows the Airy shift "
+                             "-4^{1/3} x" % self.x)
 
     @property
     def shift(self) -> float:
@@ -485,11 +488,19 @@ _G0_DOMAIN = 10.5
 
 
 @lru_cache(maxsize=1)
-def _g0_blocks():
-    """The y-block grid of `_g0_interp`: whole-block prefix integrals
-    (n_y + 1,) and, per unit block, the Legendre coefficients (33, n_y) of
-    the antiderivative from the block's left edge of the degree-31
-    interpolant of the u integral, in the block variable s in [-1, 1]."""
+def _g0_interp():
+    """The one model of x -> g(0, -x) = tilted_g(0, 4^{1/3} x) on [0, 10.5],
+    which feeds psi, the two-sided joint law and the max marginal.
+
+    At s = 0 the integrand Ai(iu+y)/Ai(iu)^2 does not depend on x, only the
+    upper y limit A = 4^{1/3} x does, so one grid serves every x: 32 Gauss
+    nodes in each unit y block below 4^{1/3} 10.5, by 15-point unit panels in
+    u on (0, 16] with doubled weights (the u < 0 half is the conjugate).  The
+    u integral f(y) is taken first.  Returns the whole-block prefix integrals
+    (n_y + 1,), and per block the Legendre coefficients of the degree-31
+    interpolant of f (32, n_y) and of its antiderivative from the block's
+    left edge (33, n_y), in the block variable s = 2 (y - k) - 1.
+    """
     leg = np.polynomial.legendre
     x15, w15 = leg.leggauss(15)
     u_pts = (np.arange(16.0)[:, None] + 0.5 * (x15[None, :] + 1.0)).ravel()
@@ -504,44 +515,27 @@ def _g0_blocks():
     coef = np.linalg.solve(leg.legvander(yg, 31), f.T)   # (32, n_y)
     antider = 0.5 * leg.legint(coef, lbnd=-1.0)          # dy = ds / 2
     prefix = np.concatenate([[0.0], np.cumsum(0.5 * f @ wg)])
-    return prefix, antider
+    return prefix, coef, antider
 
 
-def _g0_vec(xarr) -> np.ndarray:
-    """g(0, -x) from the block data: the whole-block prefix below
-    A = 4^{1/3} x plus the partial block's interpolant integrated to A."""
-    prefix, antider = _g0_blocks()
+def _g0_vec(xarr) -> tuple[np.ndarray, np.ndarray]:
+    """g(0, -x) and its derivative in x on [0, 10.5]: the whole-block prefix
+    below A = 4^{1/3} x plus the partial block's interpolant integrated to
+    A, and 4^{1/3} f(A) from the same block."""
+    prefix, coef, antider = _g0_interp()
     A = FOUR13 * np.asarray(xarr, dtype=np.float64)
-    k = np.minimum(A.astype(int), antider.shape[1] - 1)
-    part = np.polynomial.legendre.legval(2.0 * (A - k) - 1.0, antider[:, k],
-                                         tensor=False)
-    return prefix[k] + part
-
-
-@lru_cache(maxsize=1)
-def _g0_interp():
-    """Chebyshev model (degree 72) of x -> g(0, -x) = tilted_g(0, 4^{1/3} x)
-    on [0, 10.5]; feeds psi, the two-sided joint law and the max marginal.
-
-    At s = 0 the u,y integrand Ai(iu+y)/Ai(iu)^2 does not depend on x, only
-    the upper y limit A = 4^{1/3} x does, so one grid serves every node: 32
-    Gauss nodes in each unit y block below 4^{1/3} 10.5, by 15-point unit
-    panels in u on [-16, 16].  Ai(conj z) = conj Ai(z) makes the u < 0 half
-    the conjugate of the u > 0 half, so only u > 0 is evaluated, with
-    doubled weights, and the real part is kept.  The u integral is taken
-    first, leaving a real function of y on the grid.  A node takes the
-    whole-block prefix below A plus the integral, up to A, of the degree-31
-    Legendre interpolant of that function on A's block (`_g0_vec`).
-    """
-    return np.polynomial.chebyshev.Chebyshev.interpolate(
-        _g0_vec, 72, domain=[0.0, _G0_DOMAIN])
+    k = np.minimum(A.astype(int), coef.shape[1] - 1)
+    s = 2.0 * (A - k) - 1.0
+    leg = np.polynomial.legendre
+    return (prefix[k] + leg.legval(s, antider[:, k], tensor=False),
+            FOUR13 * leg.legval(s, coef[:, k], tensor=False))
 
 
 def _g0_fast(xarr) -> np.ndarray:
-    """g(0, -x) from the cached model, clipped to [0, 1]; 1 past the model's
-    domain, where 1 - g(0, -x) < 1e-22."""
+    """g(0, -x) from the model, clipped to [0, 1]; 1 past its domain, where
+    1 - g(0, -x) < 1e-22."""
     xarr = np.asarray(xarr, dtype=np.float64)
-    inside = np.clip(_g0_interp()(xarr), 0.0, 1.0)
+    inside = np.clip(_g0_vec(np.clip(xarr, 0.0, _G0_DOMAIN))[0], 0.0, 1.0)
     return np.where(xarr > _G0_DOMAIN, 1.0, inside)
 
 
@@ -628,49 +622,14 @@ def joint_density_two_sided(t: float, a: float) -> float:
     return float(_joint_two_sided_row(float(t), np.asarray([float(a)]))[0])
 
 
-_MAX_T_CAP = 14.0
-
-
-@lru_cache(maxsize=1)
-def _hphi_grid():
-    """Fixed Gauss-Legendre grid over t in (0, 14], 12 nodes per unit, with
-    phi values, for the inner time integral of the two-sided max marginal."""
-    pts, wts = gauss_legendre_panels(0.0, _MAX_T_CAP, nodes_per_unit=12)
-    return pts, wts, _phi_fast(pts)
-
-
-def _max_marginal_quadrature(a_arr: np.ndarray) -> np.ndarray:
-    """Two-sided max marginal f_M(a) = 2 g(0,-a) int_0^inf h_{-a}(t) phi(t) dt.
-
-    Direct quadrature of the joint law over the argmax time.  The t grid
-    under-resolves the O(a^2) passage boundary layer below a ~ 0.1, so this
-    route serves the tail a >= 5 and cross-checks the model below.
-    """
-    a_arr = np.atleast_1d(np.asarray(a_arr, dtype=np.float64))
-    pts, wts, pvals = _hphi_grid()
-    return 2.0 * _g0_fast(a_arr) * (_h_grid(FOUR13 * a_arr, pts) @ (wts * pvals))
-
-
-_MAX_MODEL_CAP = 5.0
-
-
 def _max_marginal_many(a_arr: np.ndarray) -> np.ndarray:
-    """Primary route for the two-sided max marginal.
-
-    The two halves of the path are independent, so the max CDF factorizes:
-    F_M(a) = g(0,-a)^2, hence f_M(a) = 2 g(0,-a) d/da g(0,-a), evaluated by
-    differentiating the Chebyshev survival model below a = 5.  Past it the
-    model's derivative loses digits fast (relative error 1.5e-7 at a = 5,
-    9.4e-5 at 6, wrong signs from 8.25 on), while the quadrature route reads
-    within 1e-8 of the direct u integral at a = 5 and within 1e-3 up to
-    a = 10, so a >= 5 takes that route.
-    """
+    """Two-sided max marginal.  The two halves of the path are independent,
+    so F_M(a) = g(0,-a)^2 and f_M(a) = 2 g(0,-a) g'(a), both read from the
+    g(0, .) model; 0 past its domain, where f_M < 1.6e-22."""
     a_arr = np.atleast_1d(np.asarray(a_arr, dtype=np.float64))
-    out = 2.0 * _g0_fast(a_arr) * _g0_interp().deriv()(a_arr)
-    far = a_arr >= _MAX_MODEL_CAP
-    if far.any():
-        out[far] = _max_marginal_quadrature(a_arr[far])
-    return np.clip(out, 0.0, None)
+    g, dg = _g0_vec(np.clip(a_arr, 0.0, _G0_DOMAIN))
+    out = np.clip(2.0 * g * dg, 0.0, None)
+    return np.where(a_arr > _G0_DOMAIN, 0.0, out)
 
 
 def max_marginal_two_sided(a: float) -> float:
@@ -712,9 +671,7 @@ def max_mean_two_sided(spec: QuadratureSpec | None = None) -> float:
     """E M under the two-sided law: int_0^inf (1 - F_M(a)) da with the exact
     factorization F_M(a) = g(0,-a)^2."""
     spec = spec or QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9)
-    g0 = _g0_interp()
-    res = integrate_interval(
-        lambda a: 1.0 - np.clip(g0(a), 0.0, 1.0) ** 2, 0.0, 10.0, spec)
+    res = integrate_interval(lambda a: 1.0 - _g0_fast(a) ** 2, 0.0, 10.0, spec)
     return float(res.value.real)
 
 

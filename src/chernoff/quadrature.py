@@ -81,6 +81,8 @@ class QuadratureSpec:
     truncation_halfwidth: float | None = None  # None -> solve decay(U) = abs_tol/2
 
     def __post_init__(self):
+        if not (math.isfinite(self.abs_tol) and math.isfinite(self.rel_tol)):
+            raise ValueError("tolerances must be finite")
         if self.abs_tol < 1e-14 or self.rel_tol < 1e-14:
             raise ValueError("tolerances below 1e-14 are not supported")
         if not (0 < self.max_subdivisions <= 2 ** 20):
@@ -124,10 +126,15 @@ def _solve_truncation(decay: Callable[[float], float], target: float,
     return b, decay(b)
 
 
-def _panelize(a: float, b: float, frequency: float) -> np.ndarray:
+def _panelize(a: float, b: float, frequency: float,
+              spec: QuadratureSpec) -> np.ndarray:
     cap = min(2.0, math.pi / (4.0 * max(1.0, abs(frequency))))
-    n = max(4, int(math.ceil((b - a) / cap)))
-    return np.linspace(a, b, n + 1)
+    n = (b - a) / cap if cap > 0.0 else math.inf
+    if not n <= spec.max_subdivisions:
+        # more oscillation panels than the subdivision budget, all of them
+        # allocated and evaluated before the first error estimate
+        raise QuadratureBudgetError(QuadratureResult(math.nan, math.inf, 0, b - a))
+    return np.linspace(a, b, max(4, int(math.ceil(n))) + 1)
 
 
 def _run_panels(f, edges: np.ndarray, spec: QuadratureSpec,
@@ -199,7 +206,7 @@ def integrate_real_line(f, decay, spec: QuadratureSpec | None = None,
         tail = decay(U)
     else:
         U, tail = _solve_truncation(decay, spec.abs_tol / 2.0)
-    edges = _panelize(-U, U, frequency)
+    edges = _panelize(-U, U, frequency, spec)
     return _run_panels(f, edges, spec, tail, U)
 
 
@@ -212,7 +219,7 @@ def integrate_semi_infinite(f, decay, spec: QuadratureSpec | None = None,
         tail = decay(U)
     else:
         U, tail = _solve_truncation(decay, spec.abs_tol / 2.0)
-    edges = _panelize(0.0, U, frequency)
+    edges = _panelize(0.0, U, frequency, spec)
     return _run_panels(f, edges, spec, tail, U)
 
 
@@ -220,7 +227,7 @@ def integrate_interval(f, a: float, b: float, spec: QuadratureSpec | None = None
                        frequency: float = 0.0) -> QuadratureResult:
     """Adaptive integral over the finite interval [a, b] (no tail term)."""
     spec = spec or QuadratureSpec()
-    edges = _panelize(a, b, frequency)
+    edges = _panelize(a, b, frequency, spec)
     return _run_panels(f, edges, spec, 0.0, b - a)
 
 

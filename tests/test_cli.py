@@ -1,6 +1,8 @@
 """CLI: verbs, flags, exit codes, CSV shape, reproducibility."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -8,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from chernoff import cli
 from chernoff.quadrature import QuadratureBudgetError, QuadratureResult
@@ -243,6 +245,27 @@ def test_tabulate_max2_past_the_g0_model_domain(tmp_path):
     ("tabulate", "--which", "phi", "--from", "0", "--to", "inf", "--step", "0.5"),
     ("tabulate", "--which", "phi", "--from", "0", "--to", "1", "--step", "inf"),
     ("tabulate", "--which", "phi", "--from", "0", "--to", "1", "--step", "1e-300"),
+    ("tabulate", "--which", "phi", "--from", "0", "--to", "1", "--step", "0.5",
+     "--abs-tol", "0"),
+    ("tabulate", "--which", "phi", "--from", "0", "--to", "1", "--step", "0.5",
+     "--abs-tol", "nan"),
+    ("tabulate", "--which", "phi", "--from", "0", "--to", "1", "--step", "0.5",
+     "--rel-tol", "inf"),
+    ("tabulate", "--which", "joint2", "--from", "0", "--to", "1", "--step", "0.5",
+     "--a-from", "nan"),
+    ("tabulate", "--which", "joint2", "--from", "0", "--to", "1", "--step", "0.5",
+     "--a-to", "inf"),
+    ("tabulate", "--which", "joint2", "--from", "0", "--to", "1", "--step", "0.5",
+     "--a-step", "1e-300"),
+    ("tabulate", "--which", "joint2", "--from", "0", "--to", "1", "--step", "0.5",
+     "--a-from", "5", "--a-to", "1"),
+    ("tabulate", "--which", "joint2", "--from", "0", "--to", "1", "--step", "0.5",
+     "--a-from=-1", "--a-to", "1"),
+    ("tabulate", "--which", "h", "--x=-1.5e308", "--from", "0.1", "--to", "0.3",
+     "--step", "0.1"),
+    ("tabulate", "--which", "firstpassage", "--x=-1.5e308", "--from", "0.1",
+     "--to", "0.3", "--step", "0.1"),
+    ("compare", "--target", "hitting", "--x=-1.5e308"),
 ])
 def test_domain_errors_are_one_line_usage_errors(argv):
     r = run_proc(*argv)
@@ -262,3 +285,55 @@ def test_grid_starts_at_from_steps_evenly_and_ends_at_to(lo, step, n, frac):
     assert g[0] == lo and g.size <= n + 2
     assert np.all(np.abs(np.diff(g) - step) <= tol)
     assert hi - step - tol <= g[-1] <= hi + 1e-12 * max(1.0, abs(hi))
+
+
+# Flag values for the property test below.  Every grid they can form has
+# either at most 11 points or more than 1e299, so a valid run stays small and
+# a too-fine step is refused before anything is allocated.
+_FLAG_VALUES = [-1.0, 0.0, 0.5, 1.0, 2.5, 1e-300, -1e-300, 1e308, -1e308,
+                -1.5e308, math.nan, math.inf, -math.inf]
+_VALID_FLAGS = {
+    "h": {"from": 0.5, "to": 2.5, "step": 0.5, "x": -1.0},
+    "joint2": {"from": -1.0, "to": 1.0, "step": 0.5,
+               "a-from": 0.5, "a-to": 2.5, "a-step": 0.5},
+}
+_TOLERANCES = {"abs-tol": 1e-10, "rel-tol": 1e-8}
+
+
+def _grid_start(lo, hi, step):
+    """The first grid point, or None where the README's grid rule refuses
+    the flags (non-finite, step <= 0, --to <= --from, too many points)."""
+    if not (all(map(math.isfinite, (lo, hi, step))) and step > 0 and hi > lo):
+        return None
+    return lo if (hi - lo) / step < 1e6 else None
+
+
+def _breaks_a_rule(which, flags):
+    if not all(math.isfinite(flags[k]) and flags[k] >= 1e-14
+               for k in _TOLERANCES):
+        return True
+    start = _grid_start(flags["from"], flags["to"], flags["step"])
+    if which == "h":
+        x = flags["x"]
+        return (start is None or not start > 0.0 or not x < 0.0
+                or not math.isfinite(4.0 ** (1.0 / 3.0) * x))
+    a_start = _grid_start(flags["a-from"], flags["a-to"], flags["a-step"])
+    return start is None or a_start is None or not a_start > 0.0
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(sorted(_VALID_FLAGS)),
+       st.dictionaries(st.sampled_from(["from", "to", "step", "a-from", "a-to",
+                                        "a-step", "abs-tol", "rel-tol", "x"]),
+                       st.sampled_from(_FLAG_VALUES), max_size=3))
+def test_tabulate_flags_exit_2_exactly_when_a_rule_is_broken(which, override):
+    flags = {**_VALID_FLAGS[which], **_TOLERANCES, **override}
+    argv = ["tabulate", "--which", which] + ["--%s=%r" % kv for kv in flags.items()]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    if _breaks_a_rule(which, flags):
+        lines = err.getvalue().splitlines()
+        assert rc == 2 and len(lines) == 1 and lines[0].startswith("usage error: ")
+    else:
+        assert rc in (0, 3)

@@ -163,6 +163,26 @@ def test_spec_validation():
         QuadratureSpec(max_subdivisions=2 ** 21)
     with pytest.raises(ValueError):
         QuadratureSpec(truncation_halfwidth=-2.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            QuadratureSpec(abs_tol=bad)
+        with pytest.raises(ValueError):
+            QuadratureSpec(rel_tol=bad)
+
+
+@pytest.mark.parametrize("frequency", [1e6, 1e308])
+def test_oscillation_panels_beyond_the_budget_are_refused_up_front(frequency):
+    # 1e6 would mean 2.6e7 panels of 15 points, 1e308 a zero panel width
+    calls = []
+
+    def f(u):
+        calls.append(u.size)
+        return np.exp(-u * u)
+
+    with pytest.raises(QuadratureBudgetError):
+        integrate_real_line(f, lambda U: math.exp(-U * U),
+                            QuadratureSpec(abs_tol=1e-11), frequency=frequency)
+    assert calls == []
 
 
 def test_oscillation_cap_resolves_high_frequency():
