@@ -2,17 +2,7 @@
 parabola, with Airy-function numerics, a verification harness and a Monte
 Carlo oracle."""
 
-from .airy import (
-    AiryBundle,
-    AiryOverflowError,
-    EvalRegime,
-    airy_all,
-    airy_ai_log_scaled,
-    classify,
-    incomplete_hi,
-    scorer_hi,
-    u_lambda,
-)
+from .airy import AiryOverflowError, incomplete_hi, scorer_hi, u_lambda
 from .densities import (
     DensityTable,
     StartState,
@@ -42,9 +32,8 @@ from .quadrature import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "AiryBundle", "AiryOverflowError", "EvalRegime", "airy_all",
-    "airy_ai_log_scaled", "classify", "incomplete_hi", "scorer_hi",
-    "u_lambda", "DensityTable", "StartState", "bm_first_passage_density",
+    "AiryOverflowError", "incomplete_hi", "scorer_hi", "u_lambda",
+    "DensityTable", "StartState", "bm_first_passage_density",
     "chernoff_density", "g_fun", "h_density", "hitting_prob",
     "joint_density_one_sided", "joint_density_two_sided",
     "max_density_one_sided", "max_marginal_two_sided", "phi", "psi",

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erfc
+import scipy.special
 
 from . import airy
 from .quadrature import (
@@ -139,15 +139,14 @@ def _as_probability(value: float, err: float, what: str) -> float:
 @lru_cache(maxsize=1)
 def _residue_data():
     zeros = airy.airy_zeros(_N_ZEROS)
-    aip = airy.airy_many(zeros.astype(np.complex128))[1].real
+    aip = scipy.special.airy(zeros)[1]
     return zeros, aip
 
 
 def _h_residue(a_arr, ts: np.ndarray) -> np.ndarray:
     """Residue (spectral) series, (shifts, times); accurate for t >= ~0.8."""
     zeros, aip = _residue_data()
-    args = (zeros[None, :] + np.atleast_1d(a_arr)[:, None]).astype(np.complex128)
-    num = airy.airy_many(args.ravel())[0].real.reshape(args.shape)
+    num = scipy.special.airy(zeros[None, :] + np.atleast_1d(a_arr)[:, None])[0]
     terms = (TWO13 * num / aip)[:, None, :] * np.exp(TWO13 * np.outer(ts, zeros))
     return terms.sum(axis=-1)  # per entry, so no entry depends on the grid
 
@@ -264,8 +263,7 @@ def hitting_prob(state: StartState, spec: QuadratureSpec | None = None) -> float
     s, x = state.s, state.x
     a = state.shift
     zeros, aip = _residue_data()
-    lead = TWO13 * abs(float(
-        airy.airy_many(np.asarray([zeros[0] + a + 0j]))[0][0].real / aip[0]))
+    lead = TWO13 * abs(float(scipy.special.airy(zeros[0] + a)[0] / aip[0]))
     hbar = 2.0 * (1.0 + lead)
 
     def decay(T):
@@ -652,7 +650,7 @@ def bm_first_passage_cdf(z: float, u) -> np.ndarray:
     u = np.atleast_1d(np.asarray(u, dtype=np.float64))
     out = np.zeros(u.shape)
     pos = u > 0
-    out[pos] = erfc(z / np.sqrt(2.0 * u[pos]))
+    out[pos] = scipy.special.erfc(z / np.sqrt(2.0 * u[pos]))
     return out
 
 

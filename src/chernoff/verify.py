@@ -17,7 +17,7 @@ from dataclasses import dataclass, asdict
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import gammaincc
+import scipy.special
 
 from . import airy
 from . import densities as dens
@@ -99,7 +99,7 @@ def check_wronskian_suite(n: int = 1000, radius: float = 20.0,
     rng = np.random.Generator(np.random.Philox(key=0xC0FFEE))
     z = (rng.uniform(0.02, radius, n)
          * np.exp(1j * rng.uniform(-math.pi, math.pi, n)))
-    ai, aip, bi, bip, _ = airy.airy_many(z)
+    ai, aip, bi, bip = scipy.special.airy(z)
     w = ai * bip - aip * bi
     scale = np.maximum(1.0, np.abs(ai * bip) + np.abs(aip * bi))
     resid = float((np.abs(w - 1.0 / math.pi) / scale).max())
@@ -114,9 +114,9 @@ def check_connection_suite(n: int = 1000, profile: float = 1.0) -> CheckReport:
     x = np.linspace(-10.0, 10.0, n)
     rm = np.exp(-2j * math.pi / 3.0)
     rp = np.exp(2j * math.pi / 3.0)
-    a0 = airy.airy_many(x.astype(complex))[0]
-    am = airy.airy_many(rm * x)[0]
-    ap = airy.airy_many(rp * x)[0]
+    a0 = scipy.special.airy(x.astype(complex))[0]
+    am = scipy.special.airy(rm * x)[0]
+    ap = scipy.special.airy(rp * x)[0]
     resid = np.abs(a0 + rm * am + rp * ap)
     scale = np.maximum(1.0, np.maximum(np.abs(am), np.abs(ap)))
     return CheckReport.build("airy_connection_formula", 0.0,
@@ -125,15 +125,15 @@ def check_connection_suite(n: int = 1000, profile: float = 1.0) -> CheckReport:
 
 
 def check_regime_continuity(profile: float = 1.0) -> CheckReport:
-    """The inner-disk evaluator (AMOS, ``airy._series_bundle``) and the
-    asymptotic branch agree just outside the switch radius."""
+    """The asymptotic branch of ``log_ai_many`` agrees with AMOS's Ai
+    (``scipy.special.airy``) just outside the switch radius."""
     t0 = time.perf_counter()
     worst = 0.0
     for ph in (0.0, 0.7, math.pi / 2.0, 2.2, math.pi):
         z = (airy.SWITCH_RADIUS + 1e-6) * np.exp(1j * ph)
-        ser = airy._series_bundle(np.asarray([z]))[0][0]
-        asy = airy.airy_many(np.asarray([z]))[0][0]
-        worst = max(worst, abs(ser - asy) / abs(asy))
+        amos = scipy.special.airy(z)[0]
+        asy = np.exp(airy.log_ai_many(z)[0])
+        worst = max(worst, abs(amos - asy) / abs(amos))
     return CheckReport.build("airy_regime_continuity", 0.0, worst,
                              _scaled(1e-10, profile), t0)
 
@@ -243,7 +243,6 @@ def check_laplace_roundtrip(lambdas: Sequence[float] = (0.5, 1.0, 2.0),
                             profile: float = 1.0) -> list[CheckReport]:
     """int_0^inf e^{-lam u} h_x(u) du equals the defining Airy ratio."""
     from .quadrature import integrate_semi_infinite
-    import dataclasses as _dc
     out = []
     rate = 2.0 ** (1.0 / 3.0) * abs(float(airy.airy_zeros(1)[0]))  # ~2.946
 
@@ -393,7 +392,7 @@ def mc_concordance(cfg: mcsim.McConfig, checks: Sequence[str] = MC_CHECKS,
             obs = np.concatenate([hist.counts, [hist.censored]]).astype(float)
             expc = hist.n_paths * np.concatenate([np.diff(cdf), [1.0 - cdf[-1]]])
             chi2 = float(((obs - expc) ** 2 / expc).sum())
-            pval = float(gammaincc((obs.size - 1) / 2.0, chi2 / 2.0))
+            pval = float(scipy.special.gammaincc((obs.size - 1) / 2.0, chi2 / 2.0))
             row = ("mc_purebm_chi2_pvalue", 1.0, pval, chi2, 0.001, pval > 0.001)
         else:
             raise ValueError("unknown Monte Carlo check %r" % (name,))

@@ -228,6 +228,17 @@ def test_tabulate_max2_past_the_g0_model_domain(tmp_path):
     assert np.all(np.isfinite(f)) and np.all(f >= 0.0) and np.all(f < 1e-15)
 
 
+@pytest.mark.parametrize("which", ["h", "firstpassage"])
+def test_tabulate_far_start_level_reads_zero(tmp_path, which):
+    # the residue series reads Ai(zeros + shift) at shifts up to 4^{1/3} 70 + 2.3,
+    # where Ai underflows; the density itself is below 1e-400 on this grid
+    out = tmp_path / "far.csv"
+    assert run_main("tabulate", "--which", which, "--x=-70", "--from", "0.5",
+                    "--to", "2.5", "--step", "0.5", "--out", str(out)) == 0
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert data.shape == (5, 2) and np.all(data[:, 1] == 0.0)
+
+
 @pytest.mark.parametrize("argv", [
     ("tabulate", "--which", "max2", "--from", "0", "--to", "1", "--step", "0.5"),
     ("tabulate", "--which", "firstpassage", "--x", "1", "--from", "0.1",

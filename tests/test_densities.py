@@ -134,6 +134,13 @@ def test_hitting_prob_near_barrier_tends_to_one():
     assert abs(vals[-1] - 1.0) < 5e-3
 
 
+def test_hitting_prob_far_below_the_barrier():
+    # the residue lead reads Ai(a_1 + shift) at shift 4^{1/3} 70 ~ 111, where
+    # Ai underflows; the driftless bound exp(-x^2/2t) is below 1e-400 here
+    p = hitting_prob(StartState(0.0, -70.0))
+    assert 0.0 <= p <= 1e-100
+
+
 def test_g_vanishes_at_barrier():
     assert tilted_g(0.7, 0.0).value == 0.0
     assert survival_prob(StartState(1.2, 0.0)) == 0.0

@@ -1,4 +1,5 @@
-"""Property test of the passage kernel on (shift, time) grids."""
+"""The passage kernel on (shift, time) grids: a property test and the
+residue route against a high-precision reference."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -27,3 +28,22 @@ def test_h_grid_rows_and_columns_match_single_evaluations(a, early, late):
     for j, tj in enumerate(t):
         np.testing.assert_allclose(grid[:, j], dens._h_grid(a, tj)[:, 0],
                                    rtol=1e-13, atol=0.0)
+
+
+# sum_k 2^{1/3} Ai(a_k + a) / Ai'(a_k) exp(2^{1/3} t a_k) over the first 150
+# zeros a_k, a = -4^{1/3} x, in 40-digit mpmath; rows x, columns t
+_RES_X = np.array([-0.3, -1.0, -2.5])
+_RES_T = np.array([0.9, 1.0, 1.5, 3.0, 6.0])
+_RES_H = np.array([
+    [0.045283723718356369922, 0.032664615836673645527, 0.0069128974341791295908,
+     8.046104027550662326e-05, 1.1667202435699779051e-08],
+    [0.066799415369320430471, 0.049666166160924009428, 0.011283387266919855327,
+     0.00013512770262305793027, 1.9613732737554221035e-08],
+    [0.0031273441323163508574, 0.0028420814616056875679, 0.001050784319555176684,
+     1.5518708754459612317e-05, 2.2701160075281427141e-09],
+])
+
+
+def test_residue_route_against_mpmath_residue_sum():
+    grid = dens._h_grid(-dens.FOUR13 * _RES_X, _RES_T)
+    np.testing.assert_allclose(grid, _RES_H, rtol=5e-15, atol=0.0)
