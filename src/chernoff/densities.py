@@ -121,15 +121,17 @@ class StartState:
 
 
 def _as_probability(value: float, err: float, what: str) -> float:
+    """Clamp ``value`` into [0, 1]: silently when it is out by no more than
+    ``err``, with a warning up to the error budget, and raise beyond it."""
     slack = max(err, 1e-12) * 10.0 + 5e-9
-    if value < -slack or value > 1.0 + slack:
+    excess = max(-value, value - 1.0)
+    if excess > slack:
         raise ProbabilityRangeError(
             "%s = %.6e outside [0,1] beyond error budget %.1e" % (what, value, slack))
-    if value < 0.0 or value > 1.0:
+    if excess > err:
         warnings.warn("clamped %s = %.3e into [0,1]" % (what, value),
                       RuntimeWarning, stacklevel=3)
-        return min(1.0, max(0.0, value))
-    return value
+    return min(1.0, max(0.0, value)) if excess > 0.0 else value  # NaN passes
 
 
 # ----------------------------------------------------------------------------

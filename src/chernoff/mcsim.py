@@ -1,29 +1,21 @@
 """Monte Carlo oracle for the drifted process ``W(t) - t^2``.
 
 Gaussian increments are exact at the grid times and the parabola is
-subtracted analytically, so there is no integrator error; the only biases
-are grid monitoring of extremes/crossings and the finite horizon.  Both are
-attacked head on:
+subtracted analytically, so the only biases are grid monitoring of extremes
+and crossings, and the finite horizon.  At each ``dt`` leaf the monitoring
+is exact: a crossing is sampled from the Brownian-bridge probability
+``exp(-2 d1 d2 / dt)``, the maximum from the bridge-maximum law (Rayleigh
+inversion) and the argmax from the bridge's argmax law given that maximum.
 
-* barrier crossings between grid points are sampled from the exact
-  Brownian-bridge probability ``exp(-2 d1 d2 / dt)``;
-* running maxima are (optionally) sampled from the exact bridge-maximum law
-  via the Rayleigh inversion trick, removing the ``O(sqrt(dt))`` grid bias.
-
-Normals are spent only where the path can matter.  Each path is first
-drawn on the coarse grid ``dt_c = K dt``, where ``K`` is the largest power
-of two <= 16 dividing the step count (``K = 1`` is plain uniform
-stepping).  A coarse interval is refined to the ``dt`` grid only if its
-bridge can reach the record (the highest value the path is known to
-reach, up to an ``e^-48`` tail) or the barrier (up to the ``e^-45``
-crossing tail, and only up to the first coarse endpoint at or above it);
-both tests allow for the ``dt_c^2 / 4`` by which ``-t^2`` rises above its
-chord.  The fill is the
-pinned random-walk bridge ``S_j - (j/K) S_K``, the exact law of the fine
-grid given the coarse endpoints (Levy-Ciesielski), and the two exact leaf
-rules above then run at ``dt`` as before.  Which intervals are filled
-depends on the coarse path alone, so ``bridge_correction`` on and off see
-the same fine path.
+Normals are spent only where the path can matter.  Each path is drawn on a
+coarse grid of ``_K`` = 64 ``dt`` steps (the horizon's last interval may be
+shorter).  An interval of length ``L`` is split at its midpoint, with one
+normal for the pinned bridge plus the rise of ``-t^2`` above its chord
+(Levy-Ciesielski), only while it can still reach the record (an endpoint
+within ``sqrt(24 L) + L^2 / 4`` of the highest grid value: an ``e^-48``
+tail) or the barrier (the ``e^-45`` crossing test, up to the first endpoint
+at or above it).  Splits read grid values alone, so ``bridge_correction``
+on and off see the same fine path.
 
 Randomness is counter-based: every (purpose, side, chunk) triple owns a
 Philox substream keyed by the seed, drawn in a fixed order, so results are
@@ -36,7 +28,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -56,8 +48,8 @@ __all__ = [
 ]
 
 _SLAB = 512         # coarse steps per time slab
-_FILL_SLAB = 1 << 19  # fine grid values per slab of refined intervals
-_MAX_REFINE = 16
+_K = 64             # fine steps per coarse interval
+_FILL_SLAB = 1 << 19  # fine steps per batch of refined coarse intervals
 _LOG_FLOOR = 1e-300
 TWO_SIDED_T_MIN = 4.0  # shortest horizon of a two-sided run
 
@@ -115,10 +107,6 @@ class PathSample(Sequence):
             ht = float(self.hit_time[i])
         return PathFunctionals(float(self.max[i]), float(self.argmax[i]), ht)
 
-    def __iter__(self) -> Iterator[PathFunctionals]:
-        for i in range(len(self)):
-            yield self[i]
-
 
 @dataclass(frozen=True)
 class HitEstimate:
@@ -142,27 +130,31 @@ def _stream(seed: int, purpose: int, side: int, chunk: int) -> np.random.Generat
     return np.random.Generator(np.random.Philox(key=np.array([k0, k1])))
 
 
-def _chunks(n: int, size: int):
-    return [(i, lo, min(lo + size, n))
-            for i, lo in enumerate(range(0, n, size))]
-
-
 def _run_chunks(cfg: McConfig, worker):
-    parts = _chunks(cfg.n_paths, cfg.chunk_paths)
+    size = cfg.chunk_paths
+    parts = [(ci, min(size, cfg.n_paths - lo))
+             for ci, lo in enumerate(range(0, cfg.n_paths, size))]
     if cfg.threads == 1:
-        return [worker(ci, hi - lo) for ci, lo, hi in parts]
+        return [worker(*part) for part in parts]
     with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-        futs = [ex.submit(worker, ci, hi - lo) for ci, lo, hi in parts]
+        futs = [ex.submit(worker, *part) for part in parts]
         return [f.result() for f in futs]  # chunk order, not completion order
 
 
-def _refine_factor(n_steps: int) -> int:
-    """Fine steps per coarse interval: the largest power of two <= 16 that
-    divides ``n_steps`` (1 for odd counts, i.e. plain uniform stepping)."""
-    k = _MAX_REFINE
-    while n_steps % k:
-        k //= 2
-    return k
+def _leaf_argmax(gen: np.random.Generator, al, be, h: float):
+    """Argmax time inside a leaf of length h whose Brownian bridge peaks
+    al above its left end and be above its right end (Shepp 1979): with
+    s = tau / (h - tau), s is IG(al/be, al^2/h) with probability
+    be / (al + be) and otherwise 1 / IG(be/al, be^2/h)."""
+    tiny = 1e-12 * math.sqrt(h)
+    ok = (al > tiny) & (be > tiny)
+    a = np.where(ok, al, 1.0)
+    b = np.where(ok, be, 1.0)
+    left = gen.random(a.size) * (a + b) < b
+    w = gen.wald(np.where(left, a / b, b / a), np.where(left, a, b) ** 2 / h)
+    tau = h * np.where(left, w, 1.0) / (1.0 + w)
+    # clip: the wald draw cancels to a few 1e-17 when al or be << sqrt(h)
+    return np.where(ok, np.clip(tau, 0.0, h), np.where(al > tiny, h, 0.0))
 
 
 def _one_sided_chunk(cfg: McConfig, chunk: int, n: int, *, s0: float,
@@ -170,156 +162,163 @@ def _one_sided_chunk(cfg: McConfig, chunk: int, n: int, *, s0: float,
                      track_hit: bool, stop_on_hit: bool):
     """Simulate one chunk of paths of X(t) = x0 + (W(t) - W(s0)) - (t^2 - s0^2).
 
-    Paths are drawn on the coarse grid dt_c = K dt; the K fine steps of a
-    coarse interval are drawn as a pinned random-walk bridge only where the
-    running record or the barrier is within reach.  Returns (max, argmax,
-    hit_time) arrays of length n (NaN hit_time where the barrier was never
-    reached before the horizon).
+    Paths are drawn on a coarse grid of ``_K`` steps and refined where they
+    can still matter (module docstring).  Returns (max, argmax, hit_time)
+    arrays of length n (NaN hit_time where the barrier was never reached
+    before the horizon).
     """
     s0, x0 = float(s0), float(x0)  # integer starts must not make int arrays
     inc = _stream(cfg.seed, 0, side, chunk)
     brg = _stream(cfg.seed, 1, side, chunk)
-    dt = cfg.dt
-    n_steps = cfg.n_steps
-    K = _refine_factor(n_steps)
-    dtc = K * dt
-    # -t^2 lies above its chord by at most dt_c^2 / 4 at the fine points
-    # inside a coarse interval (a leaf ignores its own O(dt^2) curvature)
-    sag = 0.25 * dtc * dtc if parabola and K > 1 else 0.0
-    # a bridge over h exceeds its higher end by e with probability
-    # exp(-2 e^2 / h); e = 0.5 sqrt(2 h 48) puts that at e^-48, far below
-    # Monte Carlo resolution (leaf margin at dt, interval reach at dt_c)
-    margin = 0.5 * math.sqrt(2.0 * dt * 48.0)
-    reach = 0.5 * math.sqrt(2.0 * dtc * 48.0) + sag
-    theta = np.arange(K + 1) / K
-    chord_sag = theta * (1.0 - theta) * dtc * dtc if parabola else 0.0
+    dt, n_steps, bridge = cfg.dt, cfg.n_steps, cfg.bridge_correction
+
+    def keep_test(xl, xr, L, rec_r, live):
+        """(keep, hit) masks of intervals of length L: hit where ``live`` and
+        the bridge, lifted by the L^2/4 that -t^2 rises above its chord, can
+        cross the barrier (up to e^-45); keep also where it can reach the
+        record (up to e^-48)."""
+        sag = 0.25 * L * L if parabola else 0.0
+        hit = np.zeros(xl.shape, dtype=bool)
+        if track_hit:
+            yl, yr = (xl + sag, xr + sag) if parabola else (xl, xr)
+            hit = live & ((yl * yr < 22.5 * L) | (yl >= 0.0) | (xr >= 0.0))
+        if track_max:  # a bridge over L rises sqrt(24 L) above an end w.p. e^-48
+            return hit | (np.maximum(xl, xr) > rec_r - (np.sqrt(24.0 * L) + sag)), hit
+        return hit, hit
+
+    def leaves(r, first, a, b, hl):
+        if track_hit:
+            crossed = hl & (b >= 0.0)
+            if bridge:  # exact crossing of the leaf's bridge
+                prod = a * b
+                k = np.flatnonzero(hl & (a < 0.0) & (b < 0.0) & (prod < 22.5 * dt))
+                crossed[k] |= brg.random(k.size) < np.exp(-2.0 * prod[k] / dt)
+            np.minimum.at(hit_step, idx_alive[r[crossed]], first[crossed] + 1)
+        if track_max:  # rows are path indices: tracked paths never retire
+            M = b
+            if bridge:  # exact bridge maximum (Rayleigh inversion)
+                u = np.maximum(brg.random(r.size), _LOG_FLOOR)
+                M = 0.5 * (a + b + np.sqrt((a - b) ** 2 - 2.0 * dt * np.log(u)))
+            best = cur_max.copy()
+            np.maximum.at(best, r, M)
+            win = (M == best[r]) & (M > cur_max[r])
+            w = r[win]
+            leaf[w], leaf_a[w], leaf_b[w] = first[win], a[win], b[win]
+            cur_max[:] = best
+
+    def refine(r, first, B, nn, hl):
+        """Split the intervals of nn fine steps with ends B[0] and B[2] level
+        by level; B[1] takes the midpoints.  Which intervals are split reads
+        grid values alone, never ``brg`` draws."""
+        while r.size:
+            if np.ndim(nn):  # uneven splits reach dt at different levels
+                lf = nn == 1
+                leaves(r[lf], first[lf], B[0, lf], B[2, lf], hl[lf])
+                B = B[:, ~lf]
+                r, first, nn, hl = (v[~lf] for v in (r, first, nn, hl))
+                if not r.size:
+                    return
+            elif nn == 1:
+                return leaves(r, first, B[0], B[2], hl)
+            # the pinned bridge's midpoint plus the parabola's chord sag
+            nl = nn // 2
+            th = nl / nn
+            var = th * (1.0 - th) * (nn * dt)
+            xm = np.multiply(B[0], 1.0 - th, out=B[1])
+            xm += B[2] * th
+            xm += np.sqrt(var) * inc.standard_normal(r.size, dtype=np.float32)
+            if parabola:
+                xm += var * (nn * dt)
+            live = None
+            if track_max:
+                np.maximum.at(rec, r, xm)
+            if track_hit:  # up to the first endpoint >= 0
+                live = np.stack([hl, hl & (xm < 0.0)])
+            steps = np.array([nl, nn - nl]).reshape(2, -1)  # the children's
+            keep, hit = keep_test(B[:2], B[1:], steps * dt,
+                                  rec[r] if track_max else None, live)
+            # kept children, left ones first: B's flat index of the left end
+            idx = np.flatnonzero(keep)
+            n_left = np.count_nonzero(keep[0])
+            Bf = B.ravel()
+            B = np.empty((3, idx.size))
+            B[0], B[2] = Bf[idx], Bf[idx + r.size]
+            hl = hit.ravel()[idx]
+            even = np.ndim(nn) == 0 and nn % 2 == 0
+            nn = nl if even else np.broadcast_to(steps, keep.shape).ravel()[idx]
+            p = idx  # now the parent of each child
+            p[n_left:] -= r.size
+            r, first = r[p], first[p]
+            first[n_left:] += nl[p[n_left:]] if np.ndim(nl) else nl
 
     idx_alive = np.arange(n)
     x_last = np.full(n, x0)
+    grid_max = np.full(n, x0)  # the record that refinement reads
     cur_max = np.full(n, x0)
-    cur_arg = np.full(n, s0)
-    hit_time = np.full(n, np.nan)
+    leaf = np.full(n, -1)  # fine index of the left end of each path's best leaf
+    leaf_a, leaf_b = np.empty(n), np.empty(n)
+    hit_step = np.full(n, n_steps + 1)  # fine index of the first passage
     barrier_open = np.ones(n, dtype=bool)  # no coarse endpoint >= 0 yet
 
     done = 0
     while done < n_steps and idx_alive.size:
-        C = min(_SLAB, (n_steps - done) // K)
+        C = min(_SLAB, -(-(n_steps - done) // _K))
+        ends = np.minimum(done + _K * np.arange(C + 1), n_steps)
+        lens = np.diff(ends)  # the horizon's last interval may be short
         m = idx_alive.size
-        # coarse state at fine indices done + K*(0..C) (column 0 = carry-in)
-        X = np.empty((m, C + 1))
-        X[:, 0] = 0.0
+        # coarse state at fine indices ends (column 0 = carry-in)
+        X = np.zeros((m, C + 1))
         X[:, 1:] = inc.standard_normal((m, C), dtype=np.float32)
+        X[:, 1:] *= np.sqrt(lens * dt)
         np.add.accumulate(X[:, 1:], axis=1, out=X[:, 1:])
-        X[:, 1:] *= math.sqrt(dtc)
         if parabola:
-            tg = s0 + (done + K * np.arange(C + 1)) * dt
+            tg = s0 + ends * dt
             X += (x_last + (s0 + done * dt) ** 2)[:, None]
             X -= (tg * tg)[None, :]
         else:
             X += x_last[:, None]
 
-        # coarse intervals whose bridge can reach the record or the barrier
-        fill = np.zeros((m, C), dtype=bool)
+        live = None
         if track_max:
-            record = np.maximum(cur_max, X[:, 1:].max(axis=1))
-            near = X > (record - reach)[:, None]
-            fill |= near[:, :-1] | near[:, 1:]
-            thr = record - margin
+            rec = np.maximum(grid_max[idx_alive], X[:, 1:].max(axis=1))
         if track_hit:
-            up = X[:, 1:] >= 0.0
-            seen = np.logical_or.accumulate(up, axis=1)
+            seen = np.logical_or.accumulate(X[:, 1:] >= 0.0, axis=1)
             coarse_hit = seen[:, -1].copy()
             # up to and including the first coarse endpoint >= 0
             live = np.empty((m, C), dtype=bool)
             live[:, 0] = barrier_open[idx_alive]
             np.logical_not(seen[:, :-1], out=live[:, 1:])
             live[:, 1:] &= live[:, :1]
-            Y = X + sag if sag else X
-            cross = (Y[:, :-1] * Y[:, 1:] < 22.5 * dtc) | (Y[:, :-1] >= 0.0) | up
-            hit_fill = live & cross
-            del Y, cross, live, up, seen
-            fill |= hit_fill
-
-        flat = np.flatnonzero(fill)
-        del fill
-        per = _FILL_SLAB // (K + 1)
-        for lo in range(0, flat.size, per):
-            fi = flat[lo:lo + per]
-            rows, cols = np.divmod(fi, C)
-            xl = X[rows, cols]
-            xr = X[rows, cols + 1]
-            # F[:, j] = X at fine index done + K*col + j, j = 0..K
-            F = np.zeros((fi.size, K + 1))
-            if K > 1:  # bridge S_j - (j/K) S_K of a K-step random walk
-                F[:, 1:] = inc.standard_normal((fi.size, K), dtype=np.float32)
-                np.add.accumulate(F[:, 1:], axis=1, out=F[:, 1:])
-                F[:, 1:] -= theta[1:] * F[:, -1:]
-                F[:, 1:] *= math.sqrt(dt)
-            F += xl[:, None] * (1.0 - theta) + xr[:, None] * theta + chord_sag
-            Fl = F[:, :-1]
-            Fr = F[:, 1:]
-            step0 = done + K * cols  # fine index of each interval's left end
-
-            if track_hit:
-                h = hit_fill[rows, cols]
-                Hl, Hr = Fl[h], Fr[h]
-                crossed = Hr >= 0.0
-                if cfg.bridge_correction:
-                    prod = Hl * Hr
-                    cand = (Hl < 0.0) & (Hr < 0.0) & (prod < 22.5 * dt)
-                    nc = int(np.count_nonzero(cand))
-                    if nc:
-                        u = brg.random(nc)
-                        crossed[cand] |= u < np.exp(-2.0 * prod[cand] / dt)
-                any_c = crossed.any(axis=1)
-                if any_c.any():
-                    first = np.argmax(crossed[any_c], axis=1)
-                    hr = rows[h][any_c]
-                    hstep = step0[h][any_c] + first + 1
-                    # intervals come in (path, time) order: keep each
-                    # path's earliest crossing, and never overwrite
-                    pr, k0 = np.unique(hr, return_index=True)
-                    tgt = idx_alive[pr]
-                    new = np.isnan(hit_time[tgt])
-                    hit_time[tgt[new]] = s0 + hstep[k0][new] * dt
-
-            if track_max:
-                above = F > thr[rows][:, None]
-                if cfg.bridge_correction:
-                    ii, jj = np.nonzero(above[:, :-1] | above[:, 1:])
-                    u = np.maximum(brg.random(ii.size), _LOG_FLOOR)
-                    a = Fl[ii, jj]
-                    b = Fr[ii, jj]
-                    M = 0.5 * (a + b + np.sqrt((a - b) ** 2 - 2.0 * dt * np.log(u)))
-                    steps = step0[ii] + jj          # leaf's left end
-                else:
-                    ii, jj = np.nonzero(above[:, 1:])
-                    M = Fr[ii, jj]
-                    steps = step0[ii] + jj + 1      # the grid point itself
-                pr = rows[ii]
-                best = np.full(m, -np.inf)
-                np.maximum.at(best, pr, M)
-                upd = best > cur_max
-                cur_max[upd] = best[upd]
-                win = upd[pr] & (M >= best[pr])
-                cur_arg[pr[win]] = s0 + steps[win] * dt
+        fill, hit_fill = keep_test(X[:, :-1], X[:, 1:], lens * dt,
+                                   rec[:, None] if track_max else None, live)
+        rows, cols = np.divmod(np.flatnonzero(fill), C)
+        short = (cols == C - 1) & (lens[-1] != lens[0])
+        per = _FILL_SLAB // _K  # coarse intervals per batch
+        for grp, nn in ((~short, lens[0]), (short, lens[-1])):
+            r_g, c_g = rows[grp], cols[grp]
+            for lo in range(0, r_g.size, per):
+                r, c = r_g[lo:lo + per], c_g[lo:lo + per]
+                B = np.empty((3, r.size))
+                B[0], B[2] = X[r, c], X[r, c + 1]
+                refine(r, done + _K * c, B, int(nn), hit_fill[r, c])
 
         x_last = X[:, -1].copy()
-        if track_hit:
-            if stop_on_hit:
-                keep = ~coarse_hit
-                idx_alive = idx_alive[keep]
-                x_last = x_last[keep]
-            else:
-                barrier_open[idx_alive[coarse_hit]] = False
-        done += C * K
+        if track_max:
+            grid_max[idx_alive] = rec
+        if track_hit and stop_on_hit:
+            idx_alive, x_last = idx_alive[~coarse_hit], x_last[~coarse_hit]
+        elif track_hit:
+            barrier_open[idx_alive[coarse_hit]] = False
+        done = int(ends[-1])
 
-    out_max = np.full(n, x0)
-    out_arg = np.full(n, s0)
+    arg = np.full(n, s0)
     if track_max:
-        # paths are never compacted when tracking maxima
-        out_max, out_arg = cur_max, cur_arg
-    return out_max, out_arg, hit_time
+        w = np.flatnonzero(leaf >= 0)
+        tau = dt  # without the bridge correction: the leaf's right end
+        if bridge:  # drawn inside each path's best leaf
+            tau = _leaf_argmax(brg, cur_max[w] - leaf_a[w], cur_max[w] - leaf_b[w], dt)
+        arg[w] = s0 + leaf[w] * dt + tau
+    return cur_max, arg, np.where(hit_step <= n_steps, s0 + hit_step * dt, np.nan)
 
 
 def simulate_two_sided(cfg: McConfig) -> PathSample:

@@ -2,6 +2,7 @@
 marginal densities, moments, tabulation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +170,29 @@ def test_tilted_probabilities_stay_in_unit_interval():
             st = StartState(s, x)
             p, q = hitting_prob(st), survival_prob(st)
             assert 0.0 <= p <= 1.0 and 0.0 <= q <= 1.0
+
+
+def test_probability_rounding_inside_the_error_clamps_silently():
+    # survival_prob at x = -10 reads 1 + 1.8e-13 against an error of 5e-11
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dens._as_probability(1.0 + 1.8e-13, 5e-11, "p") == 1.0
+        assert dens._as_probability(-3e-12, 5e-11, "p") == 0.0
+        assert survival_prob(StartState(0.0, -10.0)) == 1.0
+
+
+def test_probability_excess_beyond_the_error_warns_and_clamps():
+    with pytest.warns(RuntimeWarning, match="clamped"):
+        assert dens._as_probability(1.0 + 1e-9, 1e-12, "p") == 1.0
+    with pytest.warns(RuntimeWarning, match="clamped"):
+        assert dens._as_probability(-1e-9, 1e-12, "p") == 0.0
+
+
+def test_probability_excess_beyond_the_budget_raises():
+    with pytest.raises(dens.ProbabilityRangeError):
+        dens._as_probability(1.0 + 1e-6, 1e-12, "p")
+    with pytest.raises(dens.ProbabilityRangeError):
+        dens._as_probability(-1e-6, 1e-12, "p")
 
 
 def test_start_state_validation():

@@ -6,7 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import gammaincc
+from scipy.special import erfc, gammaincc
+from scipy.stats import kstest
 
 from chernoff import densities as dens
 from chernoff import mcsim
@@ -95,6 +96,18 @@ def test_hitting_estimate_against_quadrature():
     assert est.n_hits == round(est.probability * est.n_paths)
 
 
+def test_hitting_across_two_time_slabs():
+    # dt = 1e-4 and t_max = 4.1 give 41000 steps: a slab of 512 coarse
+    # intervals, then a slab of 128 full ones and a last one of 40 steps
+    cfg = McConfig(n_paths=20000, dt=1e-4, t_max=4.1, seed=6, threads=2)
+    target = dens.hitting_prob(StartState(0.0, -1.0))
+    est = estimate_hitting_prob(StartState(0.0, -1.0), cfg)
+    assert abs(est.probability - target) < 3.0 * est.std_error
+    s = mcsim.simulate_one_sided(StartState(0.0, -1.0), cfg)
+    frac = np.mean(~np.isnan(s.hit_time))
+    assert abs(frac - target) < 4.0 * math.sqrt(target * (1 - target) / cfg.n_paths)
+
+
 def test_hitting_near_barrier_is_almost_sure():
     cfg = McConfig(n_paths=20000, dt=1e-3, t_max=4.0, seed=9, threads=2)
     est = estimate_hitting_prob(StartState(0.0, -0.01), cfg)
@@ -175,32 +188,60 @@ def test_config_validation():
         McConfig(n_paths=10, dt=1.0, t_max=0.4)
 
 
-def test_refine_factor():
-    assert mcsim._refine_factor(8000) == 16
-    assert mcsim._refine_factor(1000) == 8
-    assert mcsim._refine_factor(1333) == 1
-    assert mcsim._refine_factor(1) == 1
-
-
 def _on_grid(t, dt, s0=0.0):
     k = (np.asarray(t) - s0) / dt
     return np.all(np.abs(k - np.round(k)) < 1e-6)
 
 
-def test_odd_step_count_is_uniform_stepping():
-    # dt = 3e-3 gives 1333 steps: K = 1, every interval is a leaf
+def test_short_last_coarse_interval():
+    # dt = 3e-3 gives 1333 steps: 20 coarse intervals of 64 steps and a
+    # last one of 53, whose uneven splits reach dt at different levels
     cfg = McConfig(n_paths=4000, dt=3e-3, t_max=4.0, seed=5)
-    assert mcsim._refine_factor(cfg.n_steps) == 1
     s = mcsim.simulate_two_sided(cfg)
     assert np.all(s.max >= 0.0)
     assert np.all(np.abs(s.argmax) <= cfg.n_steps * cfg.dt + 1e-12)
-    assert _on_grid(s.argmax, cfg.dt)
     ks = mcsim.ks_statistic(s.argmax, dens.chernoff_cdf)
     assert ks < 1.63 / math.sqrt(len(s)) + 0.003
 
 
+def test_pure_bm_passage_law_with_a_short_last_interval():
+    # dt = 3e-3 and t_max = 5 give 1667 steps: the last coarse interval
+    # has 3 steps (split 1 + 2)
+    cfg = McConfig(n_paths=100000, dt=3e-3, t_max=5.0, seed=7, threads=2)
+    assert cfg.n_steps % 64 == 3
+    h = mcsim.simulate_pure_bm_passage(1.0, cfg)
+    cdf = erfc(1.0 / np.sqrt(2.0 * np.maximum(h.edges, 1e-300)))
+    expc = h.n_paths * np.concatenate([np.diff(cdf), [1.0 - cdf[-1]]])
+    obs = np.concatenate([h.counts, [h.censored]]).astype(float)
+    chi2 = float(((obs - expc) ** 2 / expc).sum())
+    pval = float(gammaincc((obs.size - 1) / 2.0, chi2 / 2.0))
+    assert pval > 0.001
+
+
+def test_leaf_argmax_follows_the_bridge_argmax_law():
+    # given rises al and be from the ends of a bridge over h to its max, the
+    # argmax has density ~ (tau (h - tau))^-3/2 exp(-al^2/2tau - be^2/2(h - tau))
+    h = 5e-4
+    t = np.linspace(0.0, h, 200001)[1:-1]
+    for al, be in ((0.01, 0.01), (0.002, 0.03), (0.04, 0.0005)):
+        logp = -1.5 * np.log(t * (h - t)) - al ** 2 / (2 * t) - be ** 2 / (2 * (h - t))
+        cdf = np.cumsum(np.exp(logp - logp.max()))
+        tau = mcsim._leaf_argmax(np.random.default_rng(1), np.full(20000, al),
+                                 np.full(20000, be), h)
+        assert np.all((tau >= 0.0) & (tau <= h))
+        assert kstest(tau, lambda x: np.interp(x, t, cdf / cdf[-1])).pvalue > 0.001
+    # a max at an end puts the argmax there
+    tau = mcsim._leaf_argmax(np.random.default_rng(1), np.array([0.0, 0.01]),
+                             np.array([0.01, 0.0]), h)
+    assert np.array_equal(tau, [0.0, h])
+
+
 def test_argmax_and_hit_times_on_dt_grid(two_sided):
-    assert _on_grid(two_sided.argmax, CFG.dt)
+    # hit times lie on the dt grid; with the bridge correction the argmax
+    # is drawn inside a dt leaf within the horizon, without it it is the
+    # best grid point
+    assert np.all(np.abs(two_sided.argmax) <= CFG.t_max)
+    assert not _on_grid(two_sided.argmax, CFG.dt)
     cfg = McConfig(n_paths=5000, dt=2e-3, t_max=4.0, seed=4)
     for bridge in (True, False):
         s = mcsim.simulate_one_sided(StartState(0.5, -0.5),
@@ -209,14 +250,14 @@ def test_argmax_and_hit_times_on_dt_grid(two_sided):
         assert hits.any()
         assert _on_grid(s.hit_time[hits], cfg.dt, 0.5)
         assert np.all(s.hit_time[hits] > 0.5)
-        assert _on_grid(s.argmax, cfg.dt, 0.5)
+        assert np.all((s.argmax >= 0.5) & (s.argmax <= 0.5 + cfg.n_steps * cfg.dt))
+        assert _on_grid(s.argmax, cfg.dt, 0.5) == (not bridge)
 
 
 @pytest.mark.parametrize("stop_on_hit", [False, True])
 def test_bridge_correction_sees_the_same_fine_path(stop_on_hit):
-    # the filled intervals depend on the coarse path only, so switching the
-    # bridge crossing test on can only add crossings or move them earlier;
-    # t_max = 5 at dt = 1e-3 takes two time slabs of the coarse grid
+    # which intervals are split depends on grid values only, so switching
+    # the bridge crossing test on can only add crossings or move them earlier
     cfg = McConfig(n_paths=4000, dt=1e-3, t_max=5.0, seed=8)
     kw = dict(s0=0.0, x0=-1.0, side=2, parabola=not stop_on_hit,
               track_max=not stop_on_hit, track_hit=True,
