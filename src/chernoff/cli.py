@@ -21,7 +21,7 @@ from . import densities as dens
 from . import mcsim, verify
 from .airy import AiryOverflowError
 from .densities import ProbabilityRangeError, StartState
-from .quadrature import QuadratureBudgetError, QuadratureSpec
+from .quadrature import QuadratureBudgetError
 
 _NUMERICAL_ERRORS = (QuadratureBudgetError, AiryOverflowError,
                      ProbabilityRangeError, ArithmeticError, OverflowError)
@@ -91,26 +91,25 @@ def _fmt_rows(header: str, rows) -> str:
 # ----------------------------------------------------------------------------
 
 def cmd_tabulate(args) -> int:
-    spec = _checked(QuadratureSpec, abs_tol=args.abs_tol, rel_tol=args.rel_tol)
     which = args.which
     try:
         if which == "chernoff":
-            table = dens.tabulate("argmax", _grid(args), spec)
+            table = dens.tabulate("argmax", _grid(args))
             text = _fmt_rows("t,f", zip(table.grid, table.values))
         elif which == "max2":
             g = _grid(args)
             _require(g[0] > 0.0, "tabulate --which max2 needs --from > 0")
-            table = dens.tabulate("joint_marginal", g, spec)
+            table = dens.tabulate("joint_marginal", g)
             text = _fmt_rows("a,f", zip(table.grid, table.values))
         elif which == "firstpassage":
             st = _checked(StartState, args.s, args.x)
             g = _grid(args)
             _require(g[0] > st.s, "tabulate --which firstpassage needs --from > --s")
-            table = dens.tabulate("first_passage", g, spec, state=st)
+            table = dens.tabulate("first_passage", g, state=st)
             text = _fmt_rows("t,f", zip(table.grid, table.values))
         elif which == "phi":
             g = _grid(args)
-            vals = dens._clamp_density([dens.phi(float(t), spec) for t in g])
+            vals = dens._clamp_density(dens.phi(g))
             text = _fmt_rows("t,f", zip(g, vals))
         elif which == "h":
             _require(args.x < 0, "tabulate --which h needs --x < 0")
@@ -262,8 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--a-step", type=float, default=0.1)
     t.add_argument("--s", type=float, default=0.0, help="start time")
     t.add_argument("--x", type=float, default=-1.0, help="start level")
-    t.add_argument("--abs-tol", type=float, default=1e-10)
-    t.add_argument("--rel-tol", type=float, default=1e-8)
     t.add_argument("--out", default=None)
     t.set_defaults(func=cmd_tabulate)
 

@@ -231,30 +231,23 @@ def integrate_interval(f, a: float, b: float, spec: QuadratureSpec | None = None
     return _run_panels(f, edges, spec, 0.0, b - a)
 
 
-def airy_ratio_tail_bound(shift: float = 0.0) -> Callable[[float], float]:
-    """Tail bound factory for the Ai-ratio integrand families.
+def airy_ratio_tail_bound(U: float) -> float:
+    """Tail bound for the Ai-ratio integrand families.
 
     Covers, for U >= 5, both
       * 1/(2 pi Ai(iu)^2)                        ~ 2 sqrt(u) exp(-c2 u^{3/2}),
-      * Ai(iu + y)/(pi-ish * Ai(iu)^2), y in [0, shift]
-                                                 ~ C u^{1/4} exp(-c1 u^{3/2})
-    with c1 = sqrt2/3 and c2 = 2 sqrt2/3; the returned function bounds the
-    integral of the slower family over both tails |u| > U.  Constants carry
-    a 4x safety margin over the asymptotic envelope (checked empirically in
-    the test suite).
+      * Ai(iu + y)/(pi-ish * Ai(iu)^2), y >= 0   ~ C u^{1/4} exp(-c1 u^{3/2})
+    with c1 = sqrt2/3 and c2 = 2 sqrt2/3; it bounds the integral of the
+    slower family over both tails |u| > U.  Constants carry a 4x safety
+    margin over the asymptotic envelope (checked empirically in the test
+    suite).
     """
-    if shift < 0:
-        raise ValueError("shift must be nonnegative")
+    if U <= 0:
+        return math.inf
     c1 = math.sqrt(2.0) / 3.0
-
-    def bound(U: float) -> float:
-        if U <= 0:
-            return math.inf
-        # int_U^inf u^{1/4} exp(-c1 u^{3/2}) du <= (2/(3 c1)) U^{-1/4} e^{-c1 U^{3/2}}
-        env = (2.0 / (3.0 * c1)) * U ** -0.25 * math.exp(-c1 * U ** 1.5)
-        return 2.0 * 4.0 * math.sqrt(math.pi) * env  # both tails, 4x margin
-
-    return bound
+    # int_U^inf u^{1/4} exp(-c1 u^{3/2}) du <= (2/(3 c1)) U^{-1/4} e^{-c1 U^{3/2}}
+    env = (2.0 / (3.0 * c1)) * U ** -0.25 * math.exp(-c1 * U ** 1.5)
+    return 2.0 * 4.0 * math.sqrt(math.pi) * env  # both tails, 4x margin
 
 
 def gauss_legendre_panels(a: float, b: float, nodes_per_unit: int):

@@ -1,8 +1,11 @@
 """Self-contained reference implementations used only by the tests.
 
-Everything here is deliberately independent of the package internals:
-a Stirling-series gamma, a brute-force oscillatory quadrature for the real
-Airy integral, and a dense fixed-grid rule for smooth decaying integrands.
+Everything here but the last is deliberately independent of the package
+internals: a Stirling-series gamma, a brute-force oscillatory quadrature for
+the real Airy integral, a dense fixed-grid rule for smooth decaying
+integrands, and phi from scipy's Airy function on such a grid.  The last,
+the max density as a difference of hitting probabilities, reads the
+package's hitting probability, a route to it that never evaluates phi.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.special
 
 _GL40_X, _GL40_W = np.polynomial.legendre.leggauss(40)
 
@@ -76,3 +80,40 @@ def airy_cosine_integral(x: float) -> float:
 
 def trapezoid_mass(grid: np.ndarray, values: np.ndarray) -> float:
     return float(np.trapezoid(values, grid))
+
+
+def phi_reference(t) -> np.ndarray:
+    """phi(t) = (2^{-1/3}/pi) int e^{-i 2^{1/3} t u} / Ai(iu) du, folded onto
+    u > 0 (Ai(-iu) = conj Ai(iu)), on 160 composite 40-point Gauss-Legendre
+    panels over [0, 20] with Ai from scipy (AMOS); 1/|Ai(iu)| < 1e-17 past
+    u = 20."""
+    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    edges = np.linspace(0.0, 20.0, 161)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    u = (0.5 * (lo + hi) + 0.5 * (hi - lo) * _GL40_X[None, :]).ravel()
+    w = (0.5 * (hi - lo) * _GL40_W[None, :]).ravel() / scipy.special.airy(1j * u)[0]
+    c = 2.0 ** (2.0 / 3.0) / math.pi
+    return np.array([c * np.sum(w * np.exp(-1j * 2.0 ** (1.0 / 3.0) * tv * u)).real
+                     for tv in t])
+
+
+def max_density_fd(a: float, state, step: float = 1e-4, spec=None) -> float:
+    """Density of the one-sided maximum at level a > x from state (s, x):
+    the barrier derivative k(s, x - a) of the hitting probability, by
+    Richardson-refined central differences at steps ``step`` and
+    ``step / 2``.  Near the barrier the difference is noise-limited at
+    about 1e-5 relative; the stencil must stay below the barrier."""
+    from chernoff.densities import StartState, hitting_prob
+    from chernoff.quadrature import QuadratureSpec
+
+    x0 = state.x - a
+    if not x0 + step < 0.0:
+        raise ValueError("stencil would cross the barrier")
+    spec = spec or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10)
+
+    def p_at(xx):
+        return hitting_prob(StartState(state.s, xx), spec)
+
+    d_h = (p_at(x0 + step) - p_at(x0 - step)) / (2.0 * step)
+    d_h2 = (p_at(x0 + step / 2.0) - p_at(x0 - step / 2.0)) / step
+    return (4.0 * d_h2 - d_h) / 3.0

@@ -6,14 +6,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as hst
+from hypothesis import given, settings, strategies as hst
 
 from chernoff import airy
 from chernoff import densities as dens
 from chernoff.densities import (
     DensityTable,
     StartState,
-    StepDegeneracyError,
     bm_first_passage_cdf,
     bm_first_passage_density,
     chernoff_density,
@@ -40,7 +39,7 @@ from chernoff.quadrature import (
     integrate_semi_infinite,
 )
 
-from oracles import gl_panels
+from oracles import gl_panels, max_density_fd, phi_reference
 
 
 def ai_ratio_real(znum: float, zden: float) -> float:
@@ -241,12 +240,21 @@ def test_folded_tilted_g_matches_the_full_line(s, x):
     assert folded.evaluations <= 0.55 * full.evaluations
 
 
+def _phi_integrand(t: float):
+    """The u integrand of phi at t over the whole line (v = 2^{1/3} u)."""
+    def f(u):
+        return np.exp(-1j * dens.TWO13 * t * u - airy.log_ai_many(1j * u)) \
+            * (2.0 ** (-1.0 / 3.0) / math.pi)
+
+    return f
+
+
 @pytest.mark.parametrize("t", [-1.37, 2.21])
 def test_folded_phi_matches_the_full_line(t):
-    spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)
-    full = integrate_real_line(dens._phi_integrand(t), airy_ratio_tail_bound(0.0),
+    spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13)
+    full = integrate_real_line(_phi_integrand(t), airy_ratio_tail_bound,
                                spec, frequency=dens.TWO13 * abs(t))
-    assert abs(phi(t, spec) - full.value.real) < 1e-13
+    assert abs(phi(t) - full.value.real) < 1e-13
 
 
 def test_folded_integrands_are_hermitian_bitwise():
@@ -254,7 +262,7 @@ def test_folded_integrands_are_hermitian_bitwise():
     u = np.linspace(0.05, 12.0, 240)
     for f in (dens._tilted_g_integrand(-0.73, 0.9)[0],
               dens._tilted_g_integrand(0.37, 2.6)[0],
-              dens._phi_integrand(-1.37), dens._phi_integrand(2.21)):
+              _phi_integrand(-1.37), _phi_integrand(2.21)):
         assert np.array_equal(f(-u), np.conj(f(u)))
 
 
@@ -296,8 +304,42 @@ def test_phi_real_and_positive():
 
 
 def test_phi_interpolant_matches_direct():
-    for t in (0.37, -1.234, 2.75, -3.9):
-        assert abs(dens._phi_fast([t])[0] - phi(t)) < 5e-11
+    t = np.array([0.37, -1.234, 2.75, -3.9, 4.8, -4.8])
+    assert np.all(np.abs(dens._phi_interp()(t) - dens._phi_rule(t)) < 1e-14)
+
+
+def test_phi_against_the_scipy_reference():
+    # both sides of the model's |t| <= 4.8, out to where phi is rounding
+    t = np.concatenate([np.linspace(-14.0, 8.0, 89), [-4.9, -4.8, 4.8, 4.9]])
+    assert np.all(np.abs(phi(t) - phi_reference(t)) < 1e-14)
+
+
+_PHI_T = hst.one_of(hst.floats(-4.8, 4.8), hst.floats(-14.0, 14.0))
+
+
+@settings(max_examples=30)
+@given(hst.lists(_PHI_T, min_size=1, max_size=12))
+def test_phi_entries_do_not_depend_on_the_batch(ts):
+    batch = np.array(ts)
+    values = phi(batch)
+    for i, t in enumerate(ts):
+        assert values[i] == phi(t)
+        assert values[i] == phi(batch[i:i + 1])[0]
+
+
+def test_phi_shapes_and_domain():
+    assert isinstance(phi(0.5), float)
+    assert phi(np.array([[0.5, -6.0]])).shape == (1, 2)
+    assert phi([0.5, -6.0])[1] == phi(-6.0)
+    with pytest.raises(ValueError):
+        phi(math.nan)
+    # past about |t| = 134 the rule needs more panels than the budget; the
+    # error comes before anything is allocated (1e300 would need 1e301 panels)
+    with pytest.raises(QuadratureBudgetError):
+        phi(1e300)
+    with pytest.raises(QuadratureBudgetError):
+        phi(np.array([0.5, -140.0]))
+    assert math.isfinite(phi(-130.0))
 
 
 def test_k_at_barrier_matches_hitting_derivative():
@@ -391,7 +433,7 @@ def test_joint_one_sided_unit_mass():
     tg = _graded_grid(1e-6, 4.0, 220)
     ag = _graded_grid(1e-6, 4.0, 220)
     H = dens._h_grid(dens.FOUR13 * ag, tg)
-    pv = dens._phi_fast(tg)
+    pv = phi(tg)
     inner = np.trapezoid(H * pv[None, :], tg, axis=1)
     mass = np.trapezoid(inner, ag)
     assert abs(mass - 1.0) < 1e-3
@@ -415,11 +457,9 @@ def test_joint_one_sided_marginal_matches_fd_max_density():
     joint = np.array([joint_density_one_sided(float(t), a, st) for t in ts[:0]])
     # vectorized: joint(t, a) = h_{-a}(t) phi(t) at the origin state
     hv = dens._h_grid(dens.FOUR13 * a, ts)[0]
-    pv = np.array([dens._phi_fast([t])[0] if abs(t) <= 4.8 else phi(float(t))
-                   for t in ts])
-    marginal = np.trapezoid(hv * pv, ts)
-    fd = max_density_one_sided(a, st)
-    assert abs(marginal - fd) < 1e-4
+    marginal = np.trapezoid(hv * phi(ts), ts)
+    assert abs(marginal - max_density_fd(a, st)) < 1e-4
+    assert abs(marginal - max_density_one_sided(a, st)) < 1e-4
 
 
 def test_joint_one_sided_domain():
@@ -442,9 +482,36 @@ def test_max_density_boundary_limit_is_barrier_derivative():
     assert abs(near - dens.k_at_barrier(0.3)) < 5e-3 * dens.k_at_barrier(0.3)
 
 
-def test_max_density_step_degeneracy():
-    with pytest.raises(StepDegeneracyError):
-        max_density_one_sided(1e-6, StartState(0.0, 0.0))
+# (s, x, a): a - x from 0.2 to 3, where the difference at step 1e-3 is good
+# to 1e-8 relative, and from 0.02 to 0.1, where at step 1e-4 it is
+# noise-limited at about 1e-5
+_MAX_FAR = [(0.0, 0.0, 0.5), (0.0, 0.0, 1.0), (-1.2, -1.0, 0.0),
+            (1.0, -0.2, 0.5), (-1.5, 0.0, 2.0), (0.5, -1.0, -0.8),
+            (0.0, -0.3, 0.0), (2.5, 0.0, 0.3), (-0.7, -2.0, 1.0),
+            (1.5, -0.5, 0.2)]
+_MAX_NEAR = [(-1.0, -0.5, -0.45), (2.0, 0.0, 0.1), (0.0, -1.0, -0.98),
+             (1.0, 0.0, 0.03), (-1.0, 0.0, 0.08)]
+
+
+@pytest.mark.parametrize("s, x, a", _MAX_FAR + _MAX_NEAR)
+def test_max_density_matches_the_hitting_difference(s, x, a):
+    st = StartState(s, x)
+    far = a - x >= 0.2
+    want = max_density_fd(a, st, step=1e-3 if far else 1e-4)
+    assert abs(max_density_one_sided(a, st) - want) <= (1e-7 if far else 1e-4) * want
+
+
+def test_max_density_at_the_barrier_limit():
+    # a -> x: the barrier derivative k(s, 0) = exp((2/3)s^3) phi(s)
+    k = dens.k_at_barrier(0.3)
+    assert abs(max_density_one_sided(1e-9, StartState(0.3, 0.0)) - k) < 2e-9 * k
+
+
+def test_max_density_next_to_the_barrier():
+    # 1e-6 above the start level the central difference would cross the
+    # barrier; the time integral reads k(0, 0) less O(1e-6)
+    k = dens.k_at_barrier(0.0)
+    assert abs(max_density_one_sided(1e-6, StartState(0.0, 0.0)) - k) < 1e-5 * k
 
 
 def test_joint_two_sided_even_in_t():
@@ -456,7 +523,7 @@ def test_joint_two_sided_unit_mass():
     tg = _graded_grid(1e-6, 4.0, 200)
     ag = _graded_grid(1e-6, 4.0, 200)
     H = dens._h_grid(dens.FOUR13 * ag, tg)
-    pv = dens._phi_fast(tg)
+    pv = phi(tg)
     g0 = dens._g0_fast(ag)
     inner = np.trapezoid(H * pv[None, :], tg, axis=1)
     mass = 2.0 * np.trapezoid(inner * g0, ag)
@@ -476,7 +543,7 @@ def test_max_marginal_routes_agree_where_quadrature_converged():
     # passage boundary layer at small a
     aa = np.array([1.5, 2.0, 3.0])
     pts, wts = gauss_legendre_panels(0.0, 14.0, nodes_per_unit=12)
-    joint = dens._h_grid(dens.FOUR13 * aa, pts) @ (wts * dens._phi_fast(pts))
+    joint = dens._h_grid(dens.FOUR13 * aa, pts) @ (wts * phi(pts))
     d1 = dens._max_marginal_many(aa)
     d2 = 2.0 * dens._g0_fast(aa) * joint
     assert np.all(np.abs(d1 - d2) < 1e-5)
@@ -496,8 +563,7 @@ def test_max_marginal_far_tail_matches_direct_integral(a):
         zu = 1j * u
         return np.exp(airy.log_ai_diff(zu, A) - airy.log_ai_many(zu)) / scale
 
-    tail = airy_ratio_tail_bound(A)
-    res = integrate_real_line(f, lambda U: tail(U) / scale,
+    res = integrate_real_line(f, lambda U: airy_ratio_tail_bound(U) / scale,
                               QuadratureSpec(abs_tol=1e-14, rel_tol=1e-12),
                               frequency=math.sqrt(A))
     want = (2.0 * tilted_g(0.0, A).value.real * dens.FOUR13 * scale
@@ -518,7 +584,7 @@ def test_moment_relation_exact_routes():
     assert em > 0.0
     # symmetry: first moment of the argmax vanishes
     grid = np.linspace(-4.5, 4.5, 1801)
-    m1 = np.trapezoid(grid * dens._fz_fast(grid), grid)
+    m1 = np.trapezoid(grid * chernoff_density(grid), grid)
     assert abs(m1) < 1e-8
 
 
@@ -573,12 +639,14 @@ def test_tabulate_first_passage_mass_matches_hitting():
     assert abs(table.trapezoid_mass() - hitting_prob(st)) < 1e-5
 
 
-def test_tabulate_max_marks_failed_points():
+def test_tabulate_max_reads_values_next_to_the_barrier():
     st = StartState(0.0, -1e-6)
-    grid = np.array([5e-7, 0.5, 1.0])  # first point degenerates the stencil
+    grid = np.array([5e-7, 0.5, 1.0])  # 1.5e-6 above x at the first point
     table = tabulate("max", grid, state=st)
-    assert 0 in table.meta["failed_points"]
-    assert math.isnan(table.values[0]) and not math.isnan(table.values[1])
+    k = dens.k_at_barrier(0.0)
+    assert abs(table.values[0] - k) < 1e-5 * k
+    for a, v in zip(grid[1:], table.values[1:]):
+        assert abs(v - max_density_fd(float(a), st, step=1e-3)) < 1e-7 * v
 
 
 def test_density_table_validation():

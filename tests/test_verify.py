@@ -118,6 +118,17 @@ def test_mc_concordance_selects_checks_and_states():
         verify.mc_concordance(cfg, ("nope",))
 
 
+def test_mc_concordance_reports_pass_iff_within_tol():
+    from chernoff.mcsim import McConfig
+    cfg = McConfig(n_paths=4000, dt=4e-3, seed=1)
+    reports = verify.mc_concordance(cfg)
+    assert [r.name[:9] for r in reports] == ["mc_argmax", "mc_hittin", "mc_purebm"]
+    for r in reports:
+        assert r.passed == (r.abs_err <= r.tol)
+    purebm = reports[-1]
+    assert purebm.abs_err == 1.0 - purebm.computed and purebm.tol == 0.999
+
+
 def test_incomplete_scorer_ode_check_passes_strict_and_rejects_a_perturbation(
         monkeypatch):
     assert "incomplete_scorer_ode" in verify.SUITES["identities"]
