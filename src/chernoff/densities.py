@@ -27,7 +27,8 @@ rather than a workhorse.
 
 ``phi`` has one rule: a composite 15-point Gauss-Legendre sum over
 u in (0, 19] whose panel count each entry takes from its own |t|.  A
-Chebyshev model of that rule caches it on |t| <= 4.8.
+Chebyshev model of that rule caches it on |t| <= 4.8.  So has ``g``, on
+unit y blocks; built once at s = 0 it is the cached g(0, .) model.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ from .quadrature import (
     integrate_interval,
     integrate_real_line,
     integrate_semi_infinite,
+    kronrod_panels,
+    truncated_panels,
 )
 
 __all__ = [
@@ -329,75 +332,105 @@ def _y_cap(s: float) -> float:
     return max(3.0, y)
 
 
-# Gauss-Legendre nodes per unit y panel.  The inner integrand is entire, so
-# on the (s, A) grid of test_tilted_g_inner_y_rule_has_converged 8 nodes
-# already agree with 32 to 9e-16 (6 nodes: 5e-11); 16 keeps a 2x margin.
+# Gauss-Legendre nodes per unit y block: on the (s, A) grid of
+# test_tilted_g_inner_y_rule_has_converged 16 agree with 32 to 4e-16, 14 to
+# 2.3e-15 and 12 to 1.3e-12 (at s = 2, A = 0.05).
 _Y_NODES = 16
+_G_SPEC = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9)
 
 
-def _tilted_g_integrand(s: float, A: float):
-    """The u integrand of `tilted_g` at barrier width A > 0 and the bound on
-    its integral over both tails |u| > U."""
-    y_pts, y_wts = gauss_legendre_panels(0.0, A, nodes_per_unit=_Y_NODES)
+def _block_integral(model, A):
+    """Integral from 0 to A (scalar or array) of a unit-block model (prefix,
+    coef, antider), and its interpolant at A."""
+    prefix, coef, antider = model
+    A = np.asarray(A, dtype=np.float64)
+    k = np.minimum(A.astype(int), coef.shape[1] - 1)
+    t = 2.0 * (A - k) - 1.0
+    leg = np.polynomial.legendre
+    return (prefix[k] + leg.legval(t, antider[:, k], tensor=False),
+            leg.legval(t, coef[:, k], tensor=False))
 
-    def outer(u):
+
+def _g_rule(s: float, A: float):
+    """The one rule for g(s, .) up to barrier width A.  The inner integral
+    f(y) = (1/2pi) int exp(-2^{1/3} s (iu+y)) Ai(iu+y) / Ai(iu)^2 du is 2 Re
+    of its Hermitian integrand over the engine's first-pass Kronrod panels on
+    (0, U], taken at _Y_NODES Gauss nodes in each unit y block below ceil(A).
+    Returns the block model: the whole-block prefix sums, and the Legendre
+    coefficients of each block's interpolant and of its antiderivative in
+    t = 2 (y - k) - 1.  Its column 0 is f; each further column is one u
+    panel's Kronrod 15 - Gauss 7 difference.  Also returns the result at A,
+    whose err_estimate is those differences integrated to A plus the tail
+    bound; an estimate past abs 1e-10 / rel 1e-9 raises a budget error."""
+    tilt = TWO13 * max(0.0, -s) * A
+    if tilt + math.log(max(A, 1.0)) > 709.0:  # the tail bound overflows
+        raise QuadratureBudgetError(QuadratureResult(math.nan, math.inf, 0, 0.0))
+    grow = math.exp(tilt) * max(A, 1.0)
+    edges, tail = truncated_panels(
+        lambda U: grow * airy_ratio_tail_bound(U) / (2.0 * math.pi), _G_SPEC,
+        frequency=TWO13 * abs(s))
+    leg = np.polynomial.legendre
+    yg, wg = leg.leggauss(_Y_NODES)
+    n_b = int(math.ceil(A))
+    y = (0.5 * (yg[:, None] + 1.0) + np.arange(n_b)).reshape(-1, 1)
+
+    def f_u(u):
         zu = 1j * u
-        ldiff = airy.log_ai_diff(zu[:, None], y_pts[None, :])
-        base = airy.log_ai_many(zu)
-        expo = (ldiff - base[:, None]
-                - TWO13 * s * (zu[:, None] + y_pts[None, :]))
-        return (np.exp(expo) @ y_wts) / (2.0 * math.pi)
+        return np.exp(airy.log_ai_diff(zu, y) - airy.log_ai_many(zu)
+                      - TWO13 * s * (zu + y)).real / math.pi
 
-    grow = math.exp(TWO13 * max(0.0, -s) * A) * max(A, 1.0)
+    vk, vg = kronrod_panels(f_u, edges[:-1], edges[1:])
+    f = np.hstack([vk.sum(axis=1, keepdims=True), vk - vg]).reshape(_Y_NODES, n_b, -1)
+    coef = np.linalg.solve(leg.legvander(yg, _Y_NODES - 1),
+                           f.reshape(_Y_NODES, -1)).reshape(f.shape)
+    blocks = 0.5 * np.tensordot(wg, f, 1)  # dy = dt / 2
+    model = (np.cumsum(np.vstack([np.zeros_like(blocks[:1]), blocks]), axis=0), coef,
+             0.5 * leg.legint(coef, lbnd=-1.0))
+    at = _block_integral(model, A)[0]
+    value, err = float(at[0]), float(np.abs(at[1:]).sum()) + tail
+    res = QuadratureResult(value, err, 15 * vk.shape[1], float(edges[-1]))
+    if not err <= max(_G_SPEC.abs_tol, _G_SPEC.rel_tol * abs(value)):
+        raise QuadratureBudgetError(res)
+    return model, res
 
-    def decay(U):
-        return grow * airy_ratio_tail_bound(U) / (2.0 * math.pi)
 
-    return outer, decay
-
-
-def tilted_g(s: float, barrier_width: float | None,
-             spec: QuadratureSpec | None = None) -> QuadratureResult:
+def tilted_g(s: float, barrier_width: float | None) -> QuadratureResult:
     """(1/2pi) int du [int_0^A exp(-2^{1/3} s (iu+y)) Ai(iu+y) dy] / Ai(iu)^2.
 
     This equals exp(2sx) g(s, x) for A = -4^{1/3} x; ``barrier_width=None``
     takes A = infinity, which is the Laplace-limit function p(s).  The
-    integrand is Hermitian in u (Ai(conj z) = conj Ai(z)), so the integral
-    is 2 Re of the integral over u > 0.
+    value is the g rule (`_g_rule`) built to A and integrated to A.
     """
-    spec = spec or QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9)
     cap = _y_cap(s)
     A = cap if barrier_width is None else min(float(barrier_width), cap)
     if A <= 0.0:
         return QuadratureResult(0.0, 0.0, 0, 0.0)
-    f, decay = _tilted_g_integrand(s, A)
-    return integrate_semi_infinite(lambda u: 2.0 * f(u).real, decay, spec,
-                                   frequency=TWO13 * abs(s))
+    return _g_rule(s, A)[1]
 
 
-def survival_prob(state: StartState, spec: QuadratureSpec | None = None) -> float:
+def survival_prob(state: StartState) -> float:
     """Probability of never reaching the barrier from (s, x):
     exp(2sx + (2/3)s^3) g(s, x)."""
     if state.x == 0.0:
         return 0.0
-    res = tilted_g(state.s, state.shift, spec)
-    val = math.exp((2.0 / 3.0) * state.s ** 3) * res.value.real
-    err = math.exp((2.0 / 3.0) * state.s ** 3) * res.err_estimate
-    return _as_probability(val, err, "survival_prob%s" % (state,))
+    res = tilted_g(state.s, state.shift)
+    tilt = math.exp((2.0 / 3.0) * state.s ** 3)
+    return _as_probability(tilt * res.value, tilt * res.err_estimate,
+                           "survival_prob%s" % (state,))
 
 
-def g_fun(state: StartState, spec: QuadratureSpec | None = None) -> float:
+def g_fun(state: StartState) -> float:
     """The survival integrand g(s, x) itself (exp(-2sx) times tilted_g)."""
     pref = -2.0 * state.s * state.x
     if pref > 690.0:
         raise OverflowError("exp(-2sx) overflows; use survival_prob/tilted_g")
-    return math.exp(pref) * tilted_g(state.s, state.shift, spec).value.real
+    return math.exp(pref) * tilted_g(state.s, state.shift).value
 
 
-def tilted_g_limit(s: float, spec: QuadratureSpec | None = None) -> float:
+def tilted_g_limit(s: float) -> float:
     """p(s): the barrier-width -> infinity limit of tilted_g.  Equals
     exp(-(2/3) s^3)."""
-    return tilted_g(s, None, spec).value.real
+    return tilted_g(s, None).value
 
 
 # ----------------------------------------------------------------------------
@@ -509,46 +542,17 @@ _G0_DOMAIN = 10.5
 
 @lru_cache(maxsize=1)
 def _g0_interp():
-    """The one model of x -> g(0, -x) = tilted_g(0, 4^{1/3} x) on [0, 10.5],
-    which feeds psi, the two-sided joint law and the max marginal.
-
-    At s = 0 the integrand Ai(iu+y)/Ai(iu)^2 does not depend on x, only the
-    upper y limit A = 4^{1/3} x does, so one grid serves every x: 32 Gauss
-    nodes in each unit y block below 4^{1/3} 10.5, by 15-point unit panels in
-    u on (0, 16] with doubled weights (the u < 0 half is the conjugate).  The
-    u integral f(y) is taken first.  Returns the whole-block prefix integrals
-    (n_y + 1,), and per block the Legendre coefficients of the degree-31
-    interpolant of f (32, n_y) and of its antiderivative from the block's
-    left edge (33, n_y), in the block variable s = 2 (y - k) - 1.
-    """
-    leg = np.polynomial.legendre
-    x15, w15 = leg.leggauss(15)
-    u_pts = (np.arange(16.0)[:, None] + 0.5 * (x15[None, :] + 1.0)).ravel()
-    u_wts = np.tile(w15, 16)                       # 2 x (half width 1/2) x w15
-    zu = 1j * u_pts
-    yg, wg = leg.leggauss(32)
-    n_y = int(math.ceil(FOUR13 * _G0_DOMAIN))
-    yy = np.arange(n_y, dtype=float)[:, None] + 0.5 * (yg[None, :] + 1.0)
-    vals = np.exp(airy.log_ai_diff(zu[:, None, None], yy[None, :, :])
-                  - airy.log_ai_many(zu)[:, None, None])  # (nu, n_y, 32)
-    f = np.einsum("ubk,u->bk", vals, u_wts).real / (2.0 * math.pi)
-    coef = np.linalg.solve(leg.legvander(yg, 31), f.T)   # (32, n_y)
-    antider = 0.5 * leg.legint(coef, lbnd=-1.0)          # dy = ds / 2
-    prefix = np.concatenate([[0.0], np.cumsum(0.5 * f @ wg)])
-    return prefix, coef, antider
+    """The one model of x -> g(0, -x) on [0, 10.5], for psi and the
+    two-sided laws: at s = 0 only the upper y limit A = 4^{1/3} x depends on
+    x, so the g rule built once to A = 4^{1/3} 10.5 serves every x."""
+    model, _ = _g_rule(0.0, FOUR13 * _G0_DOMAIN)
+    return tuple(m[..., 0] for m in model)
 
 
 def _g0_vec(xarr) -> tuple[np.ndarray, np.ndarray]:
-    """g(0, -x) and its derivative in x on [0, 10.5]: the whole-block prefix
-    below A = 4^{1/3} x plus the partial block's interpolant integrated to
-    A, and 4^{1/3} f(A) from the same block."""
-    prefix, coef, antider = _g0_interp()
-    A = FOUR13 * np.asarray(xarr, dtype=np.float64)
-    k = np.minimum(A.astype(int), coef.shape[1] - 1)
-    s = 2.0 * (A - k) - 1.0
-    leg = np.polynomial.legendre
-    return (prefix[k] + leg.legval(s, antider[:, k], tensor=False),
-            FOUR13 * leg.legval(s, coef[:, k], tensor=False))
+    """g(0, -x) and its derivative 4^{1/3} f(4^{1/3} x) in x, on [0, 10.5]."""
+    g, f = _block_integral(_g0_interp(), FOUR13 * np.asarray(xarr, dtype=np.float64))
+    return g, FOUR13 * f
 
 
 def _g0_fast(xarr) -> np.ndarray:
@@ -570,23 +574,15 @@ def psi(t: float, spec: QuadratureSpec | None = None) -> float:
         raise ValueError("psi requires t >= 0")
     spec = spec or QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8)
     t_eff = max(float(t), 1e-8)
-    if t_eff < 0.02:
-        w = math.sqrt(2.0 * t_eff)
+    # below t = 0.02 the integral runs in units of the Gaussian width
+    w, upper = ((math.sqrt(2.0 * t_eff), 14.0) if t_eff < 0.02
+                else (1.0, 8.0 if t_eff <= 1.5 else 10.0))
 
-        def f(warr):
-            xs = w * warr
-            return w * _h_grid(FOUR13 * xs, t_eff)[:, 0] * _g0_fast(xs)
+    def f(v):
+        xs = w * v
+        return w * _h_grid(FOUR13 * xs, t_eff)[:, 0] * _g0_fast(xs)
 
-        res = integrate_interval(f, 0.0, 14.0, spec)
-        return float(res.value.real)
-
-    cap = 8.0 if t_eff <= 1.5 else 10.0
-
-    def f(xarr):
-        return _h_grid(FOUR13 * xarr, t_eff)[:, 0] * _g0_fast(xarr)
-
-    res = integrate_interval(f, 0.0, cap, spec)
-    return float(res.value.real)
+    return float(integrate_interval(f, 0.0, upper, spec).value.real)
 
 
 def joint_density_one_sided(t: float, a: float, state: StartState) -> float:
@@ -733,13 +729,13 @@ class DensityTable:
 def tabulate(kind: str, grid, state: StartState | None = None) -> DensityTable:
     """Tabulate one of the densities on a strictly increasing grid.
 
-    kinds: ``argmax`` (two-sided argmax density, mass target 1), ``max``
-    (one-sided max density from ``state``), ``joint_marginal`` (two-sided
-    max marginal), ``first_passage`` (passage-time density from ``state``,
-    mass target = hitting probability).
+    kinds: ``argmax`` (two-sided argmax density; its trapezoid mass is
+    checked against the CDF over the grid), ``max`` (one-sided max density
+    from ``state``), ``joint_marginal`` (two-sided max marginal),
+    ``first_passage`` (passage-time density from ``state``).
     """
     grid = np.asarray(grid, dtype=np.float64)
-    meta = {"mass_tol": 1e-5, "kind": kind}
+    meta = {"mass_tol": 1e-5, "kind": kind, "mass_target": None}
 
     if kind == "argmax":
         values = chernoff_density(grid)
@@ -749,7 +745,6 @@ def tabulate(kind: str, grid, state: StartState | None = None) -> DensityTable:
         if np.any(grid <= 0.0):
             raise ValueError("joint_marginal grid must be positive")
         values = _max_marginal_many(grid)
-        meta["mass_target"] = None
     elif kind == "first_passage":
         if state is None:
             raise ValueError("first_passage needs a start state")
@@ -759,25 +754,21 @@ def tabulate(kind: str, grid, state: StartState | None = None) -> DensityTable:
         if np.any(tau <= 0.0):
             raise ValueError("first_passage grid must lie above the start time")
         values = np.exp(2.0 * s * x - _cubic_gap(s, tau)) * _h_grid(state.shift, tau)[0]
-        meta["mass_target"] = hitting_prob(state)
-        meta["mass_tol"] = 1e-4
     elif kind == "max":
         if state is None:
             raise ValueError("max needs a start state")
         meta["state"] = (state.s, state.x)
-        meta["mass_target"] = None
         values = [max_density_one_sided(float(aa), state) for aa in grid]
     else:
         raise ValueError("unknown table kind %r" % (kind,))
 
     table = DensityTable(grid, values, kind, meta)
-    target = meta.get("mass_target")
     meta["mass"] = table.trapezoid_mass()
-    if target is not None and kind == "argmax":
+    if kind == "argmax":
         step = float(np.max(np.diff(grid)))
         # trapezoid discretization allowance on coarse grids
         allowance = meta["mass_tol"] + step * step / 6.0
-        if abs(meta["mass"] - target) > allowance:
-            raise ArithmeticError(
-                "tabulated mass %.8f misses target %.8f" % (meta["mass"], target))
+        if abs(meta["mass"] - meta["mass_target"]) > allowance:
+            raise ArithmeticError("tabulated mass %.8f misses target %.8f"
+                                  % (meta["mass"], meta["mass_target"]))
     return table

@@ -27,6 +27,8 @@ __all__ = [
     "integrate_interval",
     "airy_ratio_tail_bound",
     "gauss_legendre_panels",
+    "kronrod_panels",
+    "truncated_panels",
 ]
 
 # QUADPACK 15-point Kronrod nodes/weights with embedded 7-point Gauss rule.
@@ -137,6 +139,15 @@ def _panelize(a: float, b: float, frequency: float,
     return np.linspace(a, b, max(4, int(math.ceil(n))) + 1)
 
 
+def kronrod_panels(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-panel Kronrod 15 and Gauss 7 sums of f: nodes (n,) -> (..., n)."""
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES[None, :]
+    y = f(x.ravel())
+    y = y.reshape(y.shape[:-1] + x.shape)
+    return (y * _WK).sum(axis=-1) * half, (y * _WG15).sum(axis=-1) * half
+
+
 def _run_panels(f, edges: np.ndarray, spec: QuadratureSpec,
                 tail_bound: float, truncation: float) -> QuadratureResult:
     lefts = edges[:-1]
@@ -145,13 +156,9 @@ def _run_panels(f, edges: np.ndarray, spec: QuadratureSpec,
 
     def eval_panels(lo, hi):
         nonlocal evals
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        x = mid[:, None] + half[:, None] * _NODES[None, :]
-        y = np.asarray(f(x.ravel()), dtype=np.complex128).reshape(x.shape)
-        evals += x.size
-        vk = (y * _WK[None, :]).sum(axis=1) * half
-        vg = (y * _WG15[None, :]).sum(axis=1) * half
+        evals += 15 * lo.size
+        vk, vg = kronrod_panels(
+            lambda x: np.asarray(f(x), dtype=np.complex128), lo, hi)
         return vk, np.abs(vk - vg)
 
     vals, errs = eval_panels(lefts, rights)
@@ -192,6 +199,17 @@ def _run_panels(f, edges: np.ndarray, spec: QuadratureSpec,
     return QuadratureResult(value, float(errs.sum()) + tail_bound, evals, truncation)
 
 
+def truncated_panels(decay, spec: QuadratureSpec, frequency: float = 0.0,
+                     full_line: bool = False) -> tuple[np.ndarray, float]:
+    """First-pass panel edges on [0, U] ([-U, U] for the full line), with U
+    the spec's or where decay(U) = abs_tol/2, and the tail bound decay(U)."""
+    if spec.truncation_halfwidth is not None:
+        U, tail = spec.truncation_halfwidth, decay(spec.truncation_halfwidth)
+    else:
+        U, tail = _solve_truncation(decay, spec.abs_tol / 2.0)
+    return _panelize(-U if full_line else 0.0, U, frequency, spec), tail
+
+
 def integrate_real_line(f, decay, spec: QuadratureSpec | None = None,
                         frequency: float = 0.0) -> QuadratureResult:
     """Integrate f over (-inf, inf), truncating where decay(U) is small.
@@ -201,26 +219,16 @@ def integrate_real_line(f, decay, spec: QuadratureSpec | None = None,
     stay resolved.
     """
     spec = spec or QuadratureSpec()
-    if spec.truncation_halfwidth is not None:
-        U = spec.truncation_halfwidth
-        tail = decay(U)
-    else:
-        U, tail = _solve_truncation(decay, spec.abs_tol / 2.0)
-    edges = _panelize(-U, U, frequency, spec)
-    return _run_panels(f, edges, spec, tail, U)
+    edges, tail = truncated_panels(decay, spec, frequency, full_line=True)
+    return _run_panels(f, edges, spec, tail, float(edges[-1]))
 
 
 def integrate_semi_infinite(f, decay, spec: QuadratureSpec | None = None,
                             frequency: float = 0.0) -> QuadratureResult:
     """Integrate f over [0, inf) with the same contract as the full line."""
     spec = spec or QuadratureSpec()
-    if spec.truncation_halfwidth is not None:
-        U = spec.truncation_halfwidth
-        tail = decay(U)
-    else:
-        U, tail = _solve_truncation(decay, spec.abs_tol / 2.0)
-    edges = _panelize(0.0, U, frequency, spec)
-    return _run_panels(f, edges, spec, tail, U)
+    edges, tail = truncated_panels(decay, spec, frequency)
+    return _run_panels(f, edges, spec, tail, float(edges[-1]))
 
 
 def integrate_interval(f, a: float, b: float, spec: QuadratureSpec | None = None,

@@ -203,7 +203,7 @@ def check_pde_residuals(point: tuple[float, float] = (0.3, -1.0),
 
     def g_fun(s, x):
         return math.exp(-2.0 * s * x) * dens.tilted_g(
-            s, -dens.FOUR13 * x, spec).value.real
+            s, -dens.FOUR13 * x).value
 
     out = []
     for name, F in (("f", f_fun), ("g", g_fun)):
@@ -480,7 +480,7 @@ def to_ndjson(reports: Iterable[CheckReport]) -> str:
 def summarize(reports: Sequence[CheckReport]) -> str:
     lines = []
     for r in reports:
-        lines.append("%-38s %s  err=%.3e tol=%.1e  (%d ms)" % (
+        lines.append("%-38s %s  err=%.3e tol=%.3g  (%d ms)" % (
             r.name, "PASS" if r.passed else "FAIL", r.abs_err, r.tol,
             r.runtime_ms))
     n_bad = sum(not r.passed for r in reports)

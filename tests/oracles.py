@@ -1,11 +1,13 @@
 """Self-contained reference implementations used only by the tests.
 
-Everything here but the last is deliberately independent of the package
-internals: a Stirling-series gamma, a brute-force oscillatory quadrature for
-the real Airy integral, a dense fixed-grid rule for smooth decaying
-integrands, and phi from scipy's Airy function on such a grid.  The last,
-the max density as a difference of hitting probabilities, reads the
-package's hitting probability, a route to it that never evaluates phi.
+Most of it is deliberately independent of the package internals: a
+Stirling-series gamma, a brute-force oscillatory quadrature for the real
+Airy integral, a dense fixed-grid rule for smooth decaying integrands, and
+phi from scipy's Airy function on such a grid.  Two read the package: the
+full-line u integrand of g takes its log-Airy values from the package, so
+it checks the g rule's quadrature rather than its Airy values, and the max
+density as a difference of hitting probabilities reads the package's
+hitting probability, a route to it that never evaluates phi.
 """
 
 from __future__ import annotations
@@ -95,6 +97,31 @@ def phi_reference(t) -> np.ndarray:
     c = 2.0 ** (2.0 / 3.0) / math.pi
     return np.array([c * np.sum(w * np.exp(-1j * 2.0 ** (1.0 / 3.0) * tv * u)).real
                      for tv in t])
+
+
+def tilted_g_integrand(s: float, A: float):
+    """The u integrand of the survival functional over the whole line,
+    (1/2pi) int_0^A exp(-2^{1/3} s (iu+y)) Ai(iu+y) dy / Ai(iu)^2 at barrier
+    width A > 0, with the y integral on ceil(A) equal 20-point
+    Gauss-Legendre panels, and the bound on its integral over |u| > U."""
+    from chernoff import airy
+    from chernoff.quadrature import airy_ratio_tail_bound
+
+    x20, w20 = np.polynomial.legendre.leggauss(20)
+    edges = np.linspace(0.0, A, max(1, math.ceil(A)) + 1)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    y = (0.5 * (lo + hi) + 0.5 * (hi - lo) * x20).ravel()
+    wy = (0.5 * (hi - lo) * w20).ravel()
+    c = 2.0 ** (1.0 / 3.0)
+
+    def f(u):
+        zu = 1j * u[:, None]
+        expo = (airy.log_ai_diff(zu, y) - airy.log_ai_many(zu)
+                - c * s * (zu + y))
+        return (np.exp(expo) @ wy) / (2.0 * math.pi)
+
+    grow = math.exp(c * max(0.0, -s) * A) * max(A, 1.0)
+    return f, lambda U: grow * airy_ratio_tail_bound(U) / (2.0 * math.pi)
 
 
 def max_density_fd(a: float, state, step: float = 1e-4, spec=None) -> float:

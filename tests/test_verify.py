@@ -100,10 +100,12 @@ def test_ndjson_round_trip():
 
 def test_summary_counts_failures():
     reports = [CheckReport("a", 0.0, 0.0, 0.0, 1.0, True, 1),
-               CheckReport("b", 0.0, 1.0, 1.0, 0.5, False, 1)]
+               CheckReport("b", 0.0, 1.0, 1.0, 0.5, False, 1),
+               CheckReport("c", 0.2, 0.8, 0.8, 0.999, True, 1)]
     text = summarize(reports)
-    assert "2 checks, 1 failed" in text
+    assert "3 checks, 1 failed" in text
     assert "FAIL" in text and "PASS" in text
+    assert "tol=0.999 " in text.splitlines()[2]
 
 
 def test_mc_concordance_selects_checks_and_states():
