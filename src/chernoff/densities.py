@@ -25,10 +25,9 @@ Fourier form along the imaginary axis is kept as a slow reference
 integrand only decays like ``exp(-c sqrt(u))``, so it serves as an oracle
 rather than a workhorse.
 
-``phi`` has one rule: a composite 15-point Gauss-Legendre sum over
-u in (0, 19] whose panel count each entry takes from its own |t|.  A
-Chebyshev model of that rule caches it on |t| <= 4.8.  So has ``g``, on
-unit y blocks; built once at s = 0 it is the cached g(0, .) model.
+``phi`` has one rule, a composite 15-point Gauss-Legendre sum over u in
+(0, 19] with a panel count from each entry's own |t|, cached by a Chebyshev
+model on |t| <= 4.8.  So has ``g``, on unit y blocks, cached at s = 0.
 """
 
 from __future__ import annotations
@@ -332,36 +331,23 @@ def _y_cap(s: float) -> float:
     return max(3.0, y)
 
 
-# Gauss-Legendre nodes per unit y block: on the (s, A) grid of
-# test_tilted_g_inner_y_rule_has_converged 16 agree with 32 to 4e-16, 14 to
-# 2.3e-15 and 12 to 1.3e-12 (at s = 2, A = 0.05).
+# Gauss-Legendre nodes per y block: 16 agree with 12 and 32 within 5e-16 on
+# the y-rule test's grid.  The g(0, .) model takes 24: with 16 its g' jumps
+# 6.6e-12 relative across y = 16, where f falls e^4 per block.
 _Y_NODES = 16
+_G0_Y_NODES = 24
 _G_SPEC = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9)
 
 
-def _block_integral(model, A):
-    """Integral from 0 to A (scalar or array) of a unit-block model (prefix,
-    coef, antider), and its interpolant at A."""
-    prefix, coef, antider = model
-    A = np.asarray(A, dtype=np.float64)
-    k = np.minimum(A.astype(int), coef.shape[1] - 1)
-    t = 2.0 * (A - k) - 1.0
-    leg = np.polynomial.legendre
-    return (prefix[k] + leg.legval(t, antider[:, k], tensor=False),
-            leg.legval(t, coef[:, k], tensor=False))
-
-
-def _g_rule(s: float, A: float):
-    """The one rule for g(s, .) up to barrier width A.  The inner integral
+def _g_rule(s: float, A: float, nodes: int):
+    """The one rule for g(s, .) to barrier width A.  The inner integral
     f(y) = (1/2pi) int exp(-2^{1/3} s (iu+y)) Ai(iu+y) / Ai(iu)^2 du is 2 Re
     of its Hermitian integrand over the engine's first-pass Kronrod panels on
-    (0, U], taken at _Y_NODES Gauss nodes in each unit y block below ceil(A).
-    Returns the block model: the whole-block prefix sums, and the Legendre
-    coefficients of each block's interpolant and of its antiderivative in
-    t = 2 (y - k) - 1.  Its column 0 is f; each further column is one u
-    panel's Kronrod 15 - Gauss 7 difference.  Also returns the result at A,
-    whose err_estimate is those differences integrated to A plus the tail
-    bound; an estimate past abs 1e-10 / rel 1e-9 raises a budget error."""
+    (0, U], taken at `nodes` Gauss nodes in each y block [k, min(k + 1, A)].
+    Returns the block edges, f at the nodes (nodes, blocks), and the
+    integral to A, whose err_estimate is the panels' Kronrod 15 - Gauss 7
+    differences integrated in y plus the tail bound; an estimate past abs
+    1e-10 / rel 1e-9 raises a budget error."""
     tilt = TWO13 * max(0.0, -s) * A
     if tilt + math.log(max(A, 1.0)) > 709.0:  # the tail bound overflows
         raise QuadratureBudgetError(QuadratureResult(math.nan, math.inf, 0, 0.0))
@@ -369,10 +355,10 @@ def _g_rule(s: float, A: float):
     edges, tail = truncated_panels(
         lambda U: grow * airy_ratio_tail_bound(U) / (2.0 * math.pi), _G_SPEC,
         frequency=TWO13 * abs(s))
-    leg = np.polynomial.legendre
-    yg, wg = leg.leggauss(_Y_NODES)
-    n_b = int(math.ceil(A))
-    y = (0.5 * (yg[:, None] + 1.0) + np.arange(n_b)).reshape(-1, 1)
+    yg, wg = np.polynomial.legendre.leggauss(nodes)
+    y_edges = np.minimum(np.arange(math.ceil(A) + 1.0), A)
+    half = 0.5 * np.diff(y_edges)
+    y = (y_edges[:-1] + half * (yg[:, None] + 1.0)).reshape(-1, 1)
 
     def f_u(u):
         zu = 1j * u
@@ -380,18 +366,12 @@ def _g_rule(s: float, A: float):
                       - TWO13 * s * (zu + y)).real / math.pi
 
     vk, vg = kronrod_panels(f_u, edges[:-1], edges[1:])
-    f = np.hstack([vk.sum(axis=1, keepdims=True), vk - vg]).reshape(_Y_NODES, n_b, -1)
-    coef = np.linalg.solve(leg.legvander(yg, _Y_NODES - 1),
-                           f.reshape(_Y_NODES, -1)).reshape(f.shape)
-    blocks = 0.5 * np.tensordot(wg, f, 1)  # dy = dt / 2
-    model = (np.cumsum(np.vstack([np.zeros_like(blocks[:1]), blocks]), axis=0), coef,
-             0.5 * leg.legint(coef, lbnd=-1.0))
-    at = _block_integral(model, A)[0]
-    value, err = float(at[0]), float(np.abs(at[1:]).sum()) + tail
+    f, wy = vk.sum(axis=1), (half * wg[:, None]).ravel()
+    value, err = float(wy @ f), float(np.abs(wy @ (vk - vg)).sum()) + tail
     res = QuadratureResult(value, err, 15 * vk.shape[1], float(edges[-1]))
     if not err <= max(_G_SPEC.abs_tol, _G_SPEC.rel_tol * abs(value)):
         raise QuadratureBudgetError(res)
-    return model, res
+    return y_edges, f.reshape(nodes, -1), res
 
 
 def tilted_g(s: float, barrier_width: float | None) -> QuadratureResult:
@@ -399,13 +379,13 @@ def tilted_g(s: float, barrier_width: float | None) -> QuadratureResult:
 
     This equals exp(2sx) g(s, x) for A = -4^{1/3} x; ``barrier_width=None``
     takes A = infinity, which is the Laplace-limit function p(s).  The
-    value is the g rule (`_g_rule`) built to A and integrated to A.
+    value is the g rule (`_g_rule`) at _Y_NODES nodes per y block.
     """
     cap = _y_cap(s)
     A = cap if barrier_width is None else min(float(barrier_width), cap)
     if A <= 0.0:
         return QuadratureResult(0.0, 0.0, 0, 0.0)
-    return _g_rule(s, A)[1]
+    return _g_rule(s, A, _Y_NODES)[2]
 
 
 def survival_prob(state: StartState) -> float:
@@ -544,15 +524,28 @@ _G0_DOMAIN = 10.5
 def _g0_interp():
     """The one model of x -> g(0, -x) on [0, 10.5], for psi and the
     two-sided laws: at s = 0 only the upper y limit A = 4^{1/3} x depends on
-    x, so the g rule built once to A = 4^{1/3} 10.5 serves every x."""
-    model, _ = _g_rule(0.0, FOUR13 * _G0_DOMAIN)
-    return tuple(m[..., 0] for m in model)
+    x, so the g rule built once to A = 4^{1/3} 10.5 serves every x.  Returns
+    the y block edges, the whole-block prefix integrals, and per block the
+    Legendre coefficients of f's interpolant and of its antiderivative."""
+    y_edges, f, _ = _g_rule(0.0, FOUR13 * _G0_DOMAIN, _G0_Y_NODES)
+    leg = np.polynomial.legendre
+    yg, wg = leg.leggauss(_G0_Y_NODES)
+    half = 0.5 * np.diff(y_edges)
+    coef = np.linalg.solve(leg.legvander(yg, _G0_Y_NODES - 1), f)
+    prefix = np.concatenate([[0.0], np.cumsum(half * (wg @ f))])
+    return y_edges, prefix, coef, half * leg.legint(coef, lbnd=-1.0)
 
 
 def _g0_vec(xarr) -> tuple[np.ndarray, np.ndarray]:
-    """g(0, -x) and its derivative 4^{1/3} f(4^{1/3} x) in x, on [0, 10.5]."""
-    g, f = _block_integral(_g0_interp(), FOUR13 * np.asarray(xarr, dtype=np.float64))
-    return g, FOUR13 * f
+    """g(0, -x) and its derivative in x on [0, 10.5]: the g(0, .) model
+    integrated to A = 4^{1/3} x, and 4^{1/3} f(A) from the same block."""
+    y_edges, prefix, coef, antider = _g0_interp()
+    A = FOUR13 * np.asarray(xarr, dtype=np.float64)
+    k = np.minimum(A.astype(int), coef.shape[1] - 1)
+    t = 2.0 * (A - k) / (y_edges[k + 1] - k) - 1.0
+    leg = np.polynomial.legendre
+    return (prefix[k] + leg.legval(t, antider[:, k], tensor=False),
+            FOUR13 * leg.legval(t, coef[:, k], tensor=False))
 
 
 def _g0_fast(xarr) -> np.ndarray:
@@ -574,15 +567,23 @@ def psi(t: float, spec: QuadratureSpec | None = None) -> float:
         raise ValueError("psi requires t >= 0")
     spec = spec or QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8)
     t_eff = max(float(t), 1e-8)
-    # below t = 0.02 the integral runs in units of the Gaussian width
-    w, upper = ((math.sqrt(2.0 * t_eff), 14.0) if t_eff < 0.02
-                else (1.0, 8.0 if t_eff <= 1.5 else 10.0))
+    if t_eff < 0.02:
+        w = math.sqrt(2.0 * t_eff)
 
-    def f(v):
-        xs = w * v
-        return w * _h_grid(FOUR13 * xs, t_eff)[:, 0] * _g0_fast(xs)
+        def f(warr):
+            xs = w * warr
+            return w * _h_grid(FOUR13 * xs, t_eff)[:, 0] * _g0_fast(xs)
 
-    return float(integrate_interval(f, 0.0, upper, spec).value.real)
+        res = integrate_interval(f, 0.0, 14.0, spec)
+        return float(res.value.real)
+
+    cap = 8.0 if t_eff <= 1.5 else 10.0
+
+    def f(xarr):
+        return _h_grid(FOUR13 * xarr, t_eff)[:, 0] * _g0_fast(xarr)
+
+    res = integrate_interval(f, 0.0, cap, spec)
+    return float(res.value.real)
 
 
 def joint_density_one_sided(t: float, a: float, state: StartState) -> float:

@@ -202,8 +202,7 @@ def check_pde_residuals(point: tuple[float, float] = (0.3, -1.0),
                 * dens.hitting_prob(StartState(s, x), spec))
 
     def g_fun(s, x):
-        return math.exp(-2.0 * s * x) * dens.tilted_g(
-            s, -dens.FOUR13 * x).value
+        return dens.g_fun(StartState(s, x))
 
     out = []
     for name, F in (("f", f_fun), ("g", g_fun)):
