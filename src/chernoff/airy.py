@@ -13,7 +13,14 @@ plane at ``|z| = SWITCH_RADIUS`` (= 8):
   point ``iu + y``, ``y >= 0``, of the package's integrands); z = 0, points
   whose zeta underflows and the disk points past 2pi/3 take AMOS's Ai.
 * ``|z| >= 8``, ``|ph z| <= 2pi/3`` -- the Poincare asymptotic expansion in
-  ``zeta = (2/3) z^{3/2}`` with adaptive truncation at the smallest term.
+  ``zeta = (2/3) z^{3/2}``, truncated per point at its smallest term or
+  after the first term at most 1e-18 (38 terms at most).  The term count
+  is a function of ``|zeta|`` alone, because the coefficient ratios
+  ``u_k/u_{k-1}`` increase; each term updates only the points that take
+  it.  A value is bitwise the same alone as in any batch, and the same as
+  summing every point until the slowest stops, except within a few ulp of
+  a truncation radius, where a tie of the two smallest terms may go either
+  way.
 * ``|z| >= 8``, ``|ph z| > 2pi/3`` -- the connection formula mapping the
   argument onto the two rotations ``z e^{-2i pi/3}`` and ``z e^{+2i pi/3}``,
   both of which land in the reliable sector.
@@ -65,27 +72,47 @@ def _asy_coefficients(n: int):
 
 
 _UK = _asy_coefficients(_MAX_ASY_TERMS)
+# Term k of the series is u_k |zeta|^-k.  It is smaller than term k - 1 iff
+# |zeta| > _RATIO[k-1] = u_k / u_{k-1}, and these ratios increase, so the
+# smallest-term stop keeps the terms k with _RATIO[k-1] < |zeta|.  Term k is
+# at most 1e-18 iff |zeta| >= (u_k / 1e-18)^{1/k}; the running minimum
+# _FLOOR[k-1] of those radii makes "the first such k" one search too.
+_RATIO = _UK[1:] / _UK[:-1]
+_FLOOR = -np.minimum.accumulate(
+    (_UK[1:] / 1e-18) ** (1.0 / np.arange(1, _MAX_ASY_TERMS + 1)))  # ascending
+
+
+def _asy_terms(r: np.ndarray) -> np.ndarray:
+    """Terms summed at |zeta| = r: up to the smallest one, through the first
+    at or below 1e-18, at most _MAX_ASY_TERMS."""
+    stop = np.searchsorted(_RATIO, r, side="left")
+    floor = np.searchsorted(_FLOOR, -r, side="left") + 1
+    return np.minimum(np.minimum(stop, floor), _MAX_ASY_TERMS)
 
 
 def _asy_sums(zeta: np.ndarray) -> np.ndarray:
-    """S0 = sum (-1)^k u_k zeta^-k, truncated at the smallest term per point."""
-    w = -1.0 / zeta
+    """S0 = sum (-1)^k u_k zeta^-k, truncated at the smallest term per point.
+
+    Each point takes its own term count from |zeta| (`_asy_terms`); the
+    points are sorted by it, and term k updates the prefix of points that
+    take k or more terms, by the recurrence term *= w, s0 += u_k term.  So
+    the cost is the terms summed, and a point's value does not depend on
+    the batch it comes in.
+    """
+    zeta = np.asarray(zeta)
+    n = _asy_terms(np.abs(zeta)).ravel()
+    order = np.argsort((_MAX_ASY_TERMS - n).astype(np.uint8), kind="stable")
+    live = n.size - np.cumsum(np.bincount(n, minlength=_MAX_ASY_TERMS + 1))
+    w = -1.0 / zeta.ravel()[order]
     s0 = np.ones_like(w)
     term = np.ones_like(w)
-    active = np.ones(w.shape, dtype=bool)
-    last_mag = np.full(w.shape, np.inf)
-    for k in range(1, _MAX_ASY_TERMS + 1):
-        term = term * w
-        mag = np.abs(term) * _UK[k]
-        grow = mag >= last_mag
-        active &= ~grow
-        add = np.where(active, term, 0.0)
-        s0 = s0 + _UK[k] * add
-        last_mag = np.where(active, mag, last_mag)
-        active &= mag > 1e-18
-        if not active.any():
-            break
-    return s0
+    for k in range(1, int(n.max(initial=0)) + 1):
+        m = live[k - 1]
+        term[:m] *= w[:m]
+        s0[:m] += _UK[k] * term[:m]
+    out = np.empty_like(s0)
+    out[order] = s0
+    return out.reshape(zeta.shape)
 
 
 def _asy_log_ai(w: np.ndarray) -> np.ndarray:
@@ -168,37 +195,53 @@ def log_ai_diff(z: np.ndarray, shift) -> np.ndarray:
     z1 = zu + shift
     out = np.empty(z.shape, dtype=np.complex128)
 
-    def stable(a, b, d):
+    # everything that depends on the base point alone is computed once per
+    # base point, not once per broadcast shift
+    zb = np.where(z0.imag < 0.0, np.conj(z0), z0)
+    pad = (1,) * (z.ndim - z0.ndim) + z0.shape
+    axes = tuple(i for i, n in enumerate(pad) if n == 1 < z.shape[i])
+
+    def at_base(mask, fn, a0):
+        """fn at the base points a0 that feed an entry of mask, on those
+        entries; fn maps an array to a tuple of arrays."""
+        need = mask.any(axis=axes, keepdims=True).reshape(z0.shape)
+        outs = []
+        for v in fn(a0[need]):
+            full = np.ones(z0.shape, dtype=np.complex128)
+            full[need] = v
+            outs.append(np.broadcast_to(full, mask.shape)[mask])
+        return outs
+
+    def asy_base(a):
+        sa = np.sqrt(a)
+        return a, sa, np.log(a), np.log(_asy_sums((2.0 / 3.0) * a * sa))
+
+    def stable(base, b, d):
         # log Ai(b) - log Ai(a) with b = a + d, |ph| <= 2pi/3 on both
-        sa, sb = np.sqrt(a), np.sqrt(b)
+        a, sa, log_a, log_s0a = base
+        sb = np.sqrt(b)
         dzeta = (2.0 / 3.0) * d * (b + sb * sa + a) / (sb + sa)
-        s0a = _asy_sums((2.0 / 3.0) * a * sa)
         s0b = _asy_sums((2.0 / 3.0) * b * sb)
-        return -dzeta - 0.25 * (np.log(b) - np.log(a)) + np.log(s0b) - np.log(s0a)
+        return -dzeta - 0.25 * (np.log(b) - log_a) + np.log(s0b) - log_s0a
 
     in_sector = (np.angle(zu) <= _SECTOR) & (np.angle(z1) <= _SECTOR)
     out_sector = (np.angle(zu) > _SECTOR) & (np.angle(z1) > _SECTOR)
     is_big = np.abs(zu) >= _DIFF_SAFE_RADIUS
     big = is_big & in_sector
     if big.any():
-        out[big] = stable(zu[big], z1[big], shift[big].astype(np.complex128))
+        out[big] = stable(at_base(big, asy_base, zb), z1[big],
+                          shift[big].astype(np.complex128))
     # rotated-connection sector: the dominant branch is the e^{+2i pi/3}
     # rotation and its -i pi/3 offset cancels in the difference; the log1p
     # correction is exp(-2 Re zeta)-small and vanishes at these magnitudes
     conn = is_big & out_sector
     if conn.any():
-        out[conn] = stable(zu[conn] * _ROT_P, z1[conn] * _ROT_P,
-                           shift[conn] * _ROT_P)
+        out[conn] = stable(at_base(conn, asy_base, zb * _ROT_P),
+                           z1[conn] * _ROT_P, shift[conn] * _ROT_P)
     rest = ~(big | conn)
     if rest.any():
-        # log Ai(z) once per base point, not once per broadcast shift
-        pad = (1,) * (rest.ndim - z0.ndim) + z0.shape
-        axes = tuple(i for i, n in enumerate(pad) if n == 1 < rest.shape[i])
-        need = rest.any(axis=axes, keepdims=True).reshape(z0.shape)
-        base = np.zeros(z0.shape, dtype=np.complex128)
-        zb = z0[need]
-        base[need] = log_ai_many(np.where(zb.imag < 0.0, np.conj(zb), zb))
-        out[rest] = log_ai_many(z1[rest]) - np.broadcast_to(base, rest.shape)[rest]
+        base, = at_base(rest, lambda a: (log_ai_many(a),), zb)
+        out[rest] = log_ai_many(z1[rest]) - base
     return np.where(flip, np.conj(out), out)
 
 

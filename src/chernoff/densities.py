@@ -331,12 +331,16 @@ def _y_cap(s: float) -> float:
     return max(3.0, y)
 
 
-# Gauss-Legendre nodes per y block: 16 agree with 12 and 32 within 5e-16 on
-# the y-rule test's grid.  The g(0, .) model takes 24: with 16 its g' jumps
-# 6.6e-12 relative across y = 16, where f falls e^4 per block.
-_Y_NODES = 16
+# Gauss-Legendre nodes per y block: on the y-rule test's grid (s in
+# [-2, 2], A from 0.05 to the _y_cap limit) 10 agree with 32 within 5.5e-16
+# and with 8 within 1.1e-15, relative to max(1, g).  At s = -4 every rule
+# from 8 to 32 nodes agrees within 1.1e-14, the rounding of the u integral
+# there.  The g(0, .) model takes 24: with 16 its g' jumps 6.6e-12 relative
+# across y = 16, where f falls e^4 per block.
+_Y_NODES = 10
 _G0_Y_NODES = 24
 _G_SPEC = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9)
+_G_CHUNK = 1 << 19   # (y, u) entries per log_ai_diff call of the g rule
 
 
 def _g_rule(s: float, A: float, nodes: int):
@@ -358,14 +362,24 @@ def _g_rule(s: float, A: float, nodes: int):
     yg, wg = np.polynomial.legendre.leggauss(nodes)
     y_edges = np.minimum(np.arange(math.ceil(A) + 1.0), A)
     half = 0.5 * np.diff(y_edges)
-    y = (y_edges[:-1] + half * (yg[:, None] + 1.0)).reshape(-1, 1)
+    y = y_edges[:-1] + half * (yg[:, None] + 1.0)   # (nodes, blocks)
 
-    def f_u(u):
-        zu = 1j * u
-        return np.exp(airy.log_ai_diff(zu, y) - airy.log_ai_many(zu)
-                      - TWO13 * s * (zu + y)).real / math.pi
+    def f_u(yc):
+        def f(u):
+            zu = 1j * u
+            return np.exp(airy.log_ai_diff(zu, yc) - airy.log_ai_many(zu)
+                          - TWO13 * s * (zu + yc)).real / math.pi
+        return f
 
-    vk, vg = kronrod_panels(f_u, edges[:-1], edges[1:])
+    # whole y blocks per call, at most _G_CHUNK (y, u) entries: each row's
+    # panel sums are the same, so only the memory depends on the chunking
+    step = max(1, _G_CHUNK // (nodes * 15 * (edges.size - 1)))
+    parts = [kronrod_panels(f_u(y[:, j:j + step].reshape(-1, 1)),
+                            edges[:-1], edges[1:])
+             for j in range(0, y.shape[1], step)]
+    vk, vg = (np.concatenate([p[i].reshape(nodes, -1, edges.size - 1)
+                              for p in parts], axis=1).reshape(y.size, -1)
+              for i in (0, 1))
     f, wy = vk.sum(axis=1), (half * wg[:, None]).ravel()
     value, err = float(wy @ f), float(np.abs(wy @ (vk - vg)).sum()) + tail
     res = QuadratureResult(value, err, 15 * vk.shape[1], float(edges[-1]))

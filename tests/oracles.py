@@ -3,11 +3,13 @@
 Most of it is deliberately independent of the package internals: a
 Stirling-series gamma, a brute-force oscillatory quadrature for the real
 Airy integral, a dense fixed-grid rule for smooth decaying integrands, and
-phi from scipy's Airy function on such a grid.  Two read the package: the
-full-line u integrand of g takes its log-Airy values from the package, so
-it checks the g rule's quadrature rather than its Airy values, and the max
-density as a difference of hitting probabilities reads the package's
-hitting probability, a route to it that never evaluates phi.
+phi from scipy's Airy function on such a grid.  Three read the package: the
+Poincare-series loop that sums every point until the slowest stops takes the
+package's coefficients, so it checks the per-point term counts of
+``airy._asy_sums``; the full-line u integrand of g takes its log-Airy values
+from the package, so it checks the g rule's quadrature rather than its Airy
+values; and the max density as a difference of hitting probabilities reads
+the package's hitting probability, a route to it that never evaluates phi.
 """
 
 from __future__ import annotations
@@ -97,6 +99,30 @@ def phi_reference(t) -> np.ndarray:
     c = 2.0 ** (2.0 / 3.0) / math.pi
     return np.array([c * np.sum(w * np.exp(-1j * 2.0 ** (1.0 / 3.0) * tv * u)).real
                      for tv in t])
+
+
+def asy_sums_reference(zeta: np.ndarray) -> np.ndarray:
+    """S0 = sum (-1)^k u_k zeta^-k, truncated at the smallest term, as one
+    masked loop over all points: term k is added while its magnitude (of
+    the rounded power) falls and the previous one was above 1e-18, for at
+    most 38 terms."""
+    from chernoff.airy import _UK
+
+    w = -1.0 / zeta
+    s0 = np.ones_like(w)
+    term = np.ones_like(w)
+    active = np.ones(w.shape, dtype=bool)
+    last_mag = np.full(w.shape, np.inf)
+    for k in range(1, _UK.size):
+        term = term * w
+        mag = np.abs(term) * _UK[k]
+        active &= ~(mag >= last_mag)
+        s0 = s0 + _UK[k] * np.where(active, term, 0.0)
+        last_mag = np.where(active, mag, last_mag)
+        active &= mag > 1e-18
+        if not active.any():
+            break
+    return s0
 
 
 def tilted_g_integrand(s: float, A: float):

@@ -9,7 +9,7 @@ import scipy.special
 from chernoff import airy
 from chernoff.airy import AiryOverflowError, incomplete_hi, scorer_hi, u_lambda
 
-from oracles import airy_cosine_integral, gamma_stirling, gl_panels
+from oracles import airy_cosine_integral, asy_sums_reference, gamma_stirling, gl_panels
 
 
 def ai(z):
@@ -250,6 +250,80 @@ def test_values_do_not_depend_on_the_batch():
     logs = airy.log_ai_many(z)
     for i in (0, 17, 123, 299):
         assert airy.log_ai_many(z[i:i + 1]).tobytes() == logs[i:i + 1].tobytes()
+
+
+# ----------------------------------------------------------------------------
+# Poincare series: per-point term counts
+# ----------------------------------------------------------------------------
+
+def _sector_zeta(r, phase):
+    # zeta = (2/3) z^{3/2} for |ph z| <= 2pi/3 covers |ph zeta| <= pi
+    return r * np.exp(1j * phase)
+
+
+def test_asy_sums_bitwise_equal_to_the_all_points_loop():
+    rng = np.random.default_rng(1401)
+    n = 100_000
+    zeta = _sector_zeta(np.exp(rng.uniform(math.log(15.0), math.log(1e10), n)),
+                        rng.uniform(-np.pi, np.pi, n))
+    counts = np.bincount(airy._asy_terms(np.abs(zeta)))
+    assert counts[2] > 0 and counts[airy._MAX_ASY_TERMS] > 0  # floor to cap
+    assert np.array_equal(airy._asy_sums(zeta), asy_sums_reference(zeta))
+
+
+def test_asy_sums_at_the_thresholds_differ_by_at_most_one_smallest_term():
+    # within a few ulp of u_k/u_{k-1} or of a 1e-18 radius, the loop's rounded
+    # term magnitudes decide a tie either way; the two truncations then
+    # differ by the one term at the tie, the smallest, plus rounding
+    radii = np.concatenate([airy._RATIO, -airy._FLOOR])
+    radii = np.unique(radii[radii >= 15.0])
+    r, lo, hi = [radii], radii, radii
+    for _ in range(4):  # each radius and 4 ulp either side
+        lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)
+        r += [lo, hi]
+    r = np.concatenate(r)
+    zeta = _sector_zeta(r[:, None], np.linspace(-np.pi, np.pi, 25)[None, :]).ravel()
+    got, ref = airy._asy_sums(zeta), asy_sums_reference(zeta)
+    n = airy._asy_terms(np.abs(zeta))
+    uk = airy._UK
+    smallest = np.maximum(uk[n] * np.abs(zeta) ** -n.astype(float),
+                          uk[np.minimum(n + 1, n.max())] * np.abs(zeta) ** -(n + 1.0))
+    assert np.all(np.abs(got - ref) <= 1.01 * smallest + 4.5e-16 * np.abs(ref))
+    assert np.mean(got == ref) > 0.8
+
+
+def test_asy_sums_point_alone_equals_its_value_in_a_mixed_batch():
+    rng = np.random.default_rng(1402)
+    zeta = _sector_zeta(np.exp(rng.uniform(math.log(15.0), math.log(1e10), 4000)),
+                        rng.uniform(-np.pi, np.pi, 4000))
+    batch = airy._asy_sums(zeta)
+    n = airy._asy_terms(np.abs(zeta))
+    for k in np.unique(n):
+        i = int(np.flatnonzero(n == k)[0])
+        assert airy._asy_sums(zeta[i:i + 1]).tobytes() == batch[i:i + 1].tobytes()
+    grid = airy._asy_sums(zeta[:600].reshape(20, 30))
+    assert grid.shape == (20, 30) and np.array_equal(grid.ravel(), batch[:600])
+
+
+def test_log_ai_diff_sums_the_base_series_once_per_base_point(monkeypatch):
+    # Talbot h at 40 shifts: each base point (29 contour nodes and the head
+    # node per time) takes its series once, or twice where some shift moves
+    # it across the sector edge onto the general route, and each broadcast
+    # entry once; summing the base per entry cost 2 x 40 x times x 30
+    from chernoff import densities
+
+    count = [0]
+    asy_sums = airy._asy_sums
+
+    def counted(zeta):
+        count[0] += np.size(zeta)
+        return asy_sums(zeta)
+
+    monkeypatch.setattr(airy, "_asy_sums", counted)
+    times = np.linspace(0.05, 0.5, 10)
+    densities._h_talbot(np.linspace(0.0, 10.0, 40), times)
+    base = times.size * (densities._TALBOT_M - 1 + 1)
+    assert 40 * base < count[0] <= (2 + 40) * base
 
 
 def test_log_ai_sector_route_against_mpmath(monkeypatch):

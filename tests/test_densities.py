@@ -2,6 +2,7 @@
 marginal densities, moments, tabulation."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -289,28 +290,31 @@ def test_folded_integrands_are_hermitian_bitwise():
         assert np.array_equal(f(-u), np.conj(f(u)))
 
 
-@pytest.mark.parametrize("s", [-2.0, -0.73, 0.0, 0.37, 0.5, 2.0])
+@pytest.mark.parametrize("s", [-4.0, -2.0, -0.73, 0.0, 0.37, 0.5, 2.0])
 def test_tilted_g_inner_y_rule_has_converged(s, monkeypatch):
     # tilted_g's err_estimate covers the u integral only; agreement of the
     # shipped y rule with both a finer and a coarser one shows the y rule
     # contributes nothing at the scale of double rounding
     widths = (0.05, 0.4, 1.6, 4.0, 9.0, None)  # None: the _y_cap limit
+    if s == -4.0:
+        widths = widths[:3]  # the wider ones take seconds per rule
 
     def values(nodes):
         monkeypatch.setattr(dens, "_Y_NODES", nodes)
         return [tilted_g(s, A).value.real for A in widths]
 
     shipped = values(dens._Y_NODES)
-    for nodes in (32, 12):
+    for nodes in (32, 8):
         for g, other in zip(shipped, values(nodes)):
             assert abs(g - other) <= 1e-13 * max(1.0, abs(g))
 
 
 def test_tilted_g_airy_point_budget(monkeypatch):
-    # p(0.5) takes 285 u nodes; with 32 y nodes per unit panel its 19
-    # panels sent 285 x 608 = 173,280 points to log_ai_diff.  The survival
-    # calls at s = +-1 take 23 and 24 u panels over 1 and 2 y blocks, and
-    # the g(0, .) build once took 130,560 points on its own u grid.
+    # p(0.5) takes 285 u nodes; at 10 y nodes per unit block its 19 blocks
+    # send 285 x 190 = 54,150 points to log_ai_diff.
+    # The survival calls at s = +-1 take 23 and 24 u panels over 1 and 2 y
+    # blocks, and the g(0, .) build once took 130,560 points on its own u
+    # grid.
     count = [0]
     log_ai_diff = airy.log_ai_diff
 
@@ -324,15 +328,34 @@ def test_tilted_g_airy_point_budget(monkeypatch):
         return count[0]
 
     monkeypatch.setattr(airy, "log_ai_diff", counted)
-    assert 0 < points(tilted_g, 0.5, None) <= 173_280 // 2
+    assert 0 < points(tilted_g, 0.5, None) <= 54_150
     for s in (-1.0, 1.0):
-        assert 0 < points(survival_prob, StartState(s, -0.25)) <= 5_520
-        assert 0 < points(survival_prob, StartState(s, -1.0)) <= 11_520
+        assert 0 < points(survival_prob, StartState(s, -0.25)) <= 3_450
+        assert 0 < points(survival_prob, StartState(s, -1.0)) <= 7_200
     dens._g0_interp.cache_clear()
     try:
         assert 0 < points(dens._g0_interp) <= 130_560
     finally:
         dens._g0_interp.cache_clear()
+
+
+def test_g_rule_chunks_change_memory_not_values(monkeypatch):
+    # p(-3) is 53 y blocks x 10 nodes x 4,425 u nodes = 2.3 M (y, u)
+    # entries; in calls of whole y blocks it is the same rule bit for bit,
+    # and its peak memory does not grow with the entry count
+    tracemalloc.start()
+    try:
+        res = tilted_g(-3.0, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2 ** 20
+    assert res.value == pytest.approx(math.exp(2.0 * 27.0 / 3.0), rel=1e-9)
+    edges, f, whole = dens._g_rule(-1.0, 5.5, 10)
+    monkeypatch.setattr(dens, "_G_CHUNK", 1)  # one y block per call
+    edges_c, f_c, chunked = dens._g_rule(-1.0, 5.5, 10)
+    assert np.array_equal(edges_c, edges) and np.array_equal(f_c, f)
+    assert chunked == whole
 
 
 def test_phi_real_and_positive():
