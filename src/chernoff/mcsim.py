@@ -7,15 +7,23 @@ is exact: a crossing is sampled from the Brownian-bridge probability
 ``exp(-2 d1 d2 / dt)``, the maximum from the bridge-maximum law (Rayleigh
 inversion) and the argmax from the bridge's argmax law given that maximum.
 
-Normals are spent only where the path can matter.  Each path is drawn on a
-coarse grid of ``_K`` = 64 ``dt`` steps (the horizon's last interval may be
-shorter).  An interval of length ``L`` is split at its midpoint, with one
-normal for the pinned bridge plus the rise of ``-t^2`` above its chord
-(Levy-Ciesielski), only while it can still reach the record (an endpoint
-within ``sqrt(24 L) + L^2 / 4`` of the highest grid value: an ``e^-48``
-tail) or the barrier (the ``e^-45`` crossing test, up to the first endpoint
-at or above it).  Splits read grid values alone, so ``bridge_correction``
-on and off see the same fine path.
+Normals are spent only where the path can matter.  Each path is drawn in
+time slabs of ``_SLAB`` = 32 coarse steps of ``_K`` = 64 ``dt`` each (2048
+``dt``; the horizon's last interval may be shorter).  An interval of length
+``L`` is split at its midpoint, with one normal for the pinned bridge plus
+the rise of ``-t^2`` above its chord (Levy-Ciesielski), only while it can
+still reach the record (an endpoint within ``sqrt(24 L) + L^2 / 4`` of the
+highest grid value: an ``e^-48`` tail) or the barrier (the ``e^-45``
+crossing test, up to the first endpoint at or above it).  The two sides of
+a two-sided path share one record: each slab draws both sides' coarse
+grids, raises the record with them, then refines each side against it, so
+a side interval that cannot reach the global record cannot hold the argmax.
+After each slab a side retires once it can no longer matter: its barrier
+passed, if tracked, and, if the max is tracked, ``4 T (record - x_T) > 48``
+at the slab's end time ``T > 0``, since from ``x_T`` the rest of the path
+rises ``sup_u B(u) - 2 T u - u^2 > d`` with probability at most
+``e^{-4 T d}``, the same ``e^-48`` tail.  Splits and retirement read grid
+values alone, so ``bridge_correction`` on and off see the same fine path.
 
 Randomness is counter-based: every (purpose, side, chunk) triple owns a
 Philox substream keyed by the seed, drawn in a fixed order, so results are
@@ -47,7 +55,7 @@ __all__ = [
     "ks_statistic",
 ]
 
-_SLAB = 512         # coarse steps per time slab
+_SLAB = 32          # coarse steps per time slab
 _K = 64             # fine steps per coarse interval
 _FILL_SLAB = 1 << 19  # fine steps per batch of refined coarse intervals
 _LOG_FLOOR = 1e-300
@@ -158,18 +166,22 @@ def _leaf_argmax(gen: np.random.Generator, al, be, h: float):
 
 
 def _one_sided_chunk(cfg: McConfig, chunk: int, n: int, *, s0: float,
-                     x0: float, side: int, parabola: bool, track_max: bool,
-                     track_hit: bool, stop_on_hit: bool):
-    """Simulate one chunk of paths of X(t) = x0 + (W(t) - W(s0)) - (t^2 - s0^2).
+                     x0: float, sides: tuple[int, ...], parabola: bool,
+                     track_max: bool, track_hit: bool):
+    """Simulate one chunk of paths of X(t) = x0 + (W(t) - W(s0)) - (t^2 - s0^2)
+    on each side in ``sides`` (stream ids), all sides of a path sharing one
+    record.  ``sides[1]``, if given, runs backward in time from s0.
 
-    Paths are drawn on a coarse grid of ``_K`` steps and refined where they
-    can still matter (module docstring).  Returns (max, argmax, hit_time)
-    arrays of length n (NaN hit_time where the barrier was never reached
-    before the horizon).
+    Paths are drawn on a coarse grid of ``_K`` steps, refined where they
+    can still matter and retired once they cannot (module docstring).
+    Returns (max, argmax, hit_time) arrays of length n: the max over all
+    sides, the argmax on the winning side, and NaN hit_time where the
+    barrier was never reached before the horizon (hit tracking takes one
+    side).
     """
     s0, x0 = float(s0), float(x0)  # integer starts must not make int arrays
-    inc = _stream(cfg.seed, 0, side, chunk)
-    brg = _stream(cfg.seed, 1, side, chunk)
+    inc = [_stream(cfg.seed, 0, sd, chunk) for sd in sides]
+    brg = [_stream(cfg.seed, 1, sd, chunk) for sd in sides]
     dt, n_steps, bridge = cfg.dt, cfg.n_steps, cfg.bridge_correction
 
     def keep_test(xl, xr, L, rec_r, live):
@@ -186,47 +198,49 @@ def _one_sided_chunk(cfg: McConfig, chunk: int, n: int, *, s0: float,
             return hit | (np.maximum(xl, xr) > rec_r - (np.sqrt(24.0 * L) + sag)), hit
         return hit, hit
 
-    def leaves(r, first, a, b, hl):
+    def leaves(k, r, first, a, b, hl):
+        """Dt leaves of side k of paths r, left ends at fine index first."""
         if track_hit:
             crossed = hl & (b >= 0.0)
             if bridge:  # exact crossing of the leaf's bridge
                 prod = a * b
-                k = np.flatnonzero(hl & (a < 0.0) & (b < 0.0) & (prod < 22.5 * dt))
-                crossed[k] |= brg.random(k.size) < np.exp(-2.0 * prod[k] / dt)
-            np.minimum.at(hit_step, idx_alive[r[crossed]], first[crossed] + 1)
-        if track_max:  # rows are path indices: tracked paths never retire
+                j = np.flatnonzero(hl & (a < 0.0) & (b < 0.0) & (prod < 22.5 * dt))
+                crossed[j] |= brg[k].random(j.size) < np.exp(-2.0 * prod[j] / dt)
+            np.minimum.at(hit_step, r[crossed], first[crossed] + 1)
+        if track_max:
             M = b
             if bridge:  # exact bridge maximum (Rayleigh inversion)
-                u = np.maximum(brg.random(r.size), _LOG_FLOOR)
+                u = np.maximum(brg[k].random(r.size), _LOG_FLOOR)
                 M = 0.5 * (a + b + np.sqrt((a - b) ** 2 - 2.0 * dt * np.log(u)))
             best = cur_max.copy()
             np.maximum.at(best, r, M)
             win = (M == best[r]) & (M > cur_max[r])
             w = r[win]
             leaf[w], leaf_a[w], leaf_b[w] = first[win], a[win], b[win]
+            leaf_side[w] = k
             cur_max[:] = best
 
-    def refine(r, first, B, nn, hl):
-        """Split the intervals of nn fine steps with ends B[0] and B[2] level
-        by level; B[1] takes the midpoints.  Which intervals are split reads
-        grid values alone, never ``brg`` draws."""
+    def refine(k, r, first, B, nn, hl):
+        """Split side k's intervals of nn fine steps of paths r, with ends
+        B[0] and B[2], level by level; B[1] takes the midpoints.  Which
+        intervals are split reads grid values alone, never ``brg`` draws."""
         while r.size:
             if np.ndim(nn):  # uneven splits reach dt at different levels
                 lf = nn == 1
-                leaves(r[lf], first[lf], B[0, lf], B[2, lf], hl[lf])
+                leaves(k, r[lf], first[lf], B[0, lf], B[2, lf], hl[lf])
                 B = B[:, ~lf]
                 r, first, nn, hl = (v[~lf] for v in (r, first, nn, hl))
                 if not r.size:
                     return
             elif nn == 1:
-                return leaves(r, first, B[0], B[2], hl)
+                return leaves(k, r, first, B[0], B[2], hl)
             # the pinned bridge's midpoint plus the parabola's chord sag
             nl = nn // 2
             th = nl / nn
             var = th * (1.0 - th) * (nn * dt)
             xm = np.multiply(B[0], 1.0 - th, out=B[1])
             xm += B[2] * th
-            xm += np.sqrt(var) * inc.standard_normal(r.size, dtype=np.float32)
+            xm += np.sqrt(var) * inc[k].standard_normal(r.size, dtype=np.float32)
             if parabola:
                 xm += var * (nn * dt)
             live = None
@@ -251,73 +265,84 @@ def _one_sided_chunk(cfg: McConfig, chunk: int, n: int, *, s0: float,
             r, first = r[p], first[p]
             first[n_left:] += nl[p[n_left:]] if np.ndim(nl) else nl
 
-    idx_alive = np.arange(n)
-    x_last = np.full(n, x0)
-    grid_max = np.full(n, x0)  # the record that refinement reads
+    alive = [np.arange(n) for _ in sides]  # per side: paths still drawn
+    x_last = [np.full(n, x0) for _ in sides]
+    rec = np.full(n, x0)  # the grid record that refinement reads
     cur_max = np.full(n, x0)
     leaf = np.full(n, -1)  # fine index of the left end of each path's best leaf
+    leaf_side = np.zeros(n, dtype=np.intp)
     leaf_a, leaf_b = np.empty(n), np.empty(n)
     hit_step = np.full(n, n_steps + 1)  # fine index of the first passage
     barrier_open = np.ones(n, dtype=bool)  # no coarse endpoint >= 0 yet
 
     done = 0
-    while done < n_steps and idx_alive.size:
+    while done < n_steps and any(idx.size for idx in alive):
         C = min(_SLAB, -(-(n_steps - done) // _K))
         ends = np.minimum(done + _K * np.arange(C + 1), n_steps)
         lens = np.diff(ends)  # the horizon's last interval may be short
-        m = idx_alive.size
-        # coarse state at fine indices ends (column 0 = carry-in)
-        X = np.zeros((m, C + 1))
-        X[:, 1:] = inc.standard_normal((m, C), dtype=np.float32)
-        X[:, 1:] *= np.sqrt(lens * dt)
-        np.add.accumulate(X[:, 1:], axis=1, out=X[:, 1:])
-        if parabola:
-            tg = s0 + ends * dt
-            X += (x_last + (s0 + done * dt) ** 2)[:, None]
-            X -= (tg * tg)[None, :]
-        else:
-            X += x_last[:, None]
+        tg = s0 + ends * dt
+        # each side's coarse state at fine indices ends (column 0 = carry-in)
+        Xs = []
+        for k, idx in enumerate(alive):
+            X = np.zeros((idx.size, C + 1))
+            X[:, 1:] = inc[k].standard_normal((idx.size, C), dtype=np.float32)
+            X[:, 1:] *= np.sqrt(lens * dt)
+            np.add.accumulate(X[:, 1:], axis=1, out=X[:, 1:])
+            if parabola:
+                X += (x_last[k] + tg[0] ** 2)[:, None]
+                X -= (tg * tg)[None, :]
+            else:
+                X += x_last[k][:, None]
+            if track_max:
+                rec[idx] = np.maximum(rec[idx], X[:, 1:].max(axis=1))
+            Xs.append(X)
 
-        live = None
-        if track_max:
-            rec = np.maximum(grid_max[idx_alive], X[:, 1:].max(axis=1))
-        if track_hit:
-            seen = np.logical_or.accumulate(X[:, 1:] >= 0.0, axis=1)
-            coarse_hit = seen[:, -1].copy()
-            # up to and including the first coarse endpoint >= 0
-            live = np.empty((m, C), dtype=bool)
-            live[:, 0] = barrier_open[idx_alive]
-            np.logical_not(seen[:, :-1], out=live[:, 1:])
-            live[:, 1:] &= live[:, :1]
-        fill, hit_fill = keep_test(X[:, :-1], X[:, 1:], lens * dt,
-                                   rec[:, None] if track_max else None, live)
-        rows, cols = np.divmod(np.flatnonzero(fill), C)
-        short = (cols == C - 1) & (lens[-1] != lens[0])
-        per = _FILL_SLAB // _K  # coarse intervals per batch
-        for grp, nn in ((~short, lens[0]), (short, lens[-1])):
-            r_g, c_g = rows[grp], cols[grp]
-            for lo in range(0, r_g.size, per):
-                r, c = r_g[lo:lo + per], c_g[lo:lo + per]
-                B = np.empty((3, r.size))
-                B[0], B[2] = X[r, c], X[r, c + 1]
-                refine(r, done + _K * c, B, int(nn), hit_fill[r, c])
+        for k, (idx, X) in enumerate(zip(alive, Xs)):
+            live = None
+            if track_hit:
+                seen = np.logical_or.accumulate(X[:, 1:] >= 0.0, axis=1)
+                # up to and including the first coarse endpoint >= 0
+                live = np.empty((idx.size, C), dtype=bool)
+                live[:, 0] = barrier_open[idx]
+                np.logical_not(seen[:, :-1], out=live[:, 1:])
+                live[:, 1:] &= live[:, :1]
+                barrier_open[idx[seen[:, -1]]] = False
+            fill, hit_fill = keep_test(X[:, :-1], X[:, 1:], lens * dt,
+                                       rec[idx][:, None] if track_max else None, live)
+            rows, cols = np.divmod(np.flatnonzero(fill), C)
+            short = (cols == C - 1) & (lens[-1] != lens[0])
+            per = _FILL_SLAB // _K  # coarse intervals per batch
+            for grp, nn in ((~short, lens[0]), (short, lens[-1])):
+                r_g, c_g = rows[grp], cols[grp]
+                for lo in range(0, r_g.size, per):
+                    r, c = r_g[lo:lo + per], c_g[lo:lo + per]
+                    B = np.empty((3, r.size))
+                    B[0], B[2] = X[r, c], X[r, c + 1]
+                    refine(k, idx[r], done + _K * c, B, int(nn), hit_fill[r, c])
 
-        x_last = X[:, -1].copy()
-        if track_max:
-            grid_max[idx_alive] = rec
-        if track_hit and stop_on_hit:
-            idx_alive, x_last = idx_alive[~coarse_hit], x_last[~coarse_hit]
-        elif track_hit:
-            barrier_open[idx_alive[coarse_hit]] = False
+        # retire a side once its barrier is passed (if tracked) and the
+        # record is out of its reach (if tracked): from x_T at time T > 0,
+        # sup_u B(u) - 2 T u - u^2 passes d with probability e^{-4 T d}
+        T = tg[-1]
+        for k, (idx, X) in enumerate(zip(alive, Xs)):
+            x_T = X[:, -1]
+            out = np.ones(idx.size, dtype=bool)
+            if track_hit:
+                out &= ~barrier_open[idx]
+            if track_max:
+                out &= parabola & (4.0 * T * (rec[idx] - x_T) > 48.0)
+            alive[k], x_last[k] = idx[~out], x_T[~out]
         done = int(ends[-1])
 
     arg = np.full(n, s0)
     if track_max:
-        w = np.flatnonzero(leaf >= 0)
-        tau = dt  # without the bridge correction: the leaf's right end
-        if bridge:  # drawn inside each path's best leaf
-            tau = _leaf_argmax(brg, cur_max[w] - leaf_a[w], cur_max[w] - leaf_b[w], dt)
-        arg[w] = s0 + leaf[w] * dt + tau
+        for k in range(len(sides)):
+            w = np.flatnonzero((leaf >= 0) & (leaf_side == k))
+            tau = dt  # without the bridge correction: the leaf's right end
+            if bridge:  # drawn inside each path's best leaf
+                tau = _leaf_argmax(brg[k], cur_max[w] - leaf_a[w],
+                                   cur_max[w] - leaf_b[w], dt)
+            arg[w] = s0 + (1 - 2 * k) * (leaf[w] * dt + tau)
     return cur_max, arg, np.where(hit_step <= n_steps, s0 + hit_step * dt, np.nan)
 
 
@@ -325,22 +350,18 @@ def simulate_two_sided(cfg: McConfig) -> PathSample:
     """Global max and argmax of W(t) - t^2 over [-t_max, t_max].
 
     Requires t_max >= 4 so the argmax/max mass beyond the horizon (of order
-    exp(-(2/3) t_max^3)) is far below Monte Carlo resolution.  Ties between
-    the two sides (measure zero up to float rounding) resolve to the left,
-    i.e. the earlier time.
+    exp(-(2/3) t_max^3)) is far below Monte Carlo resolution.  Ties (measure
+    zero up to float rounding) keep the leaf refined first: between the
+    sides, the one in the earlier time slab, and within one slab the right
+    side (t > 0).
     """
     if cfg.t_max < TWO_SIDED_T_MIN:
         raise ValueError("two-sided runs need t_max >= %g" % TWO_SIDED_T_MIN)
 
     def worker(ci, n):
-        rm, ra, _ = _one_sided_chunk(
-            cfg, ci, n, s0=0.0, x0=0.0, side=0, parabola=True,
-            track_max=True, track_hit=False, stop_on_hit=False)
-        lm, la, _ = _one_sided_chunk(
-            cfg, ci, n, s0=0.0, x0=0.0, side=1, parabola=True,
-            track_max=True, track_hit=False, stop_on_hit=False)
-        left = lm >= rm
-        return (np.where(left, lm, rm), np.where(left, -la, ra))
+        return _one_sided_chunk(
+            cfg, ci, n, s0=0.0, x0=0.0, sides=(0, 1), parabola=True,
+            track_max=True, track_hit=False)
 
     parts = _run_chunks(cfg, worker)
     return PathSample(np.concatenate([p[0] for p in parts]),
@@ -352,8 +373,8 @@ def simulate_one_sided(state: StartState, cfg: McConfig) -> PathSample:
 
     def worker(ci, n):
         return _one_sided_chunk(
-            cfg, ci, n, s0=state.s, x0=state.x, side=2, parabola=True,
-            track_max=True, track_hit=True, stop_on_hit=False)
+            cfg, ci, n, s0=state.s, x0=state.x, sides=(2,), parabola=True,
+            track_max=True, track_hit=True)
 
     parts = _run_chunks(cfg, worker)
     return PathSample(np.concatenate([p[0] for p in parts]),
@@ -371,8 +392,8 @@ def estimate_hitting_prob(state: StartState, cfg: McConfig) -> HitEstimate:
 
     def worker(ci, n):
         _, _, ht = _one_sided_chunk(
-            cfg, ci, n, s0=state.s, x0=state.x, side=2, parabola=True,
-            track_max=False, track_hit=True, stop_on_hit=True)
+            cfg, ci, n, s0=state.s, x0=state.x, sides=(2,), parabola=True,
+            track_max=False, track_hit=True)
         return np.count_nonzero(~np.isnan(ht))
 
     hits = int(sum(_run_chunks(cfg, worker)))
@@ -395,8 +416,8 @@ def simulate_pure_bm_passage(z: float, cfg: McConfig,
 
     def worker(ci, n):
         _, _, ht = _one_sided_chunk(
-            run_cfg, ci, n, s0=0.0, x0=-z, side=3, parabola=False,
-            track_max=False, track_hit=True, stop_on_hit=True)
+            run_cfg, ci, n, s0=0.0, x0=-z, sides=(3,), parabola=False,
+            track_max=False, track_hit=True)
         return ht
 
     times = np.concatenate(_run_chunks(run_cfg, worker))

@@ -3,13 +3,15 @@
 Most of it is deliberately independent of the package internals: a
 Stirling-series gamma, a brute-force oscillatory quadrature for the real
 Airy integral, a dense fixed-grid rule for smooth decaying integrands, and
-phi from scipy's Airy function on such a grid.  Three read the package: the
+phi from scipy's Airy function on such a grid.  Four read the package: the
 Poincare-series loop that sums every point until the slowest stops takes the
 package's coefficients, so it checks the per-point term counts of
 ``airy._asy_sums``; the full-line u integrand of g takes its log-Airy values
 from the package, so it checks the g rule's quadrature rather than its Airy
-values; and the max density as a difference of hitting probabilities reads
-the package's hitting probability, a route to it that never evaluates phi.
+values; the max density as a difference of hitting probabilities reads
+the package's hitting probability, a route to it that never evaluates phi;
+and the per-side two-sided Monte Carlo run calls the package's path engine
+once per side, so each side refines against its own record alone.
 """
 
 from __future__ import annotations
@@ -170,3 +172,21 @@ def max_density_fd(a: float, state, step: float = 1e-4, spec=None) -> float:
     d_h = (p_at(x0 + step) - p_at(x0 - step)) / (2.0 * step)
     d_h2 = (p_at(x0 + step / 2.0) - p_at(x0 - step / 2.0)) / step
     return (4.0 * d_h2 - d_h) / 3.0
+
+
+def two_sided_per_side(cfg):
+    """Max and argmax of W(t) - t^2 over [-t_max, t_max] with each side
+    simulated by its own engine call against its own record, the left side
+    winning ties: the shared-record engine must agree with it in law."""
+    from chernoff import mcsim
+
+    def worker(ci, n):
+        kw = dict(s0=0.0, x0=0.0, parabola=True, track_max=True, track_hit=False)
+        rm, ra, _ = mcsim._one_sided_chunk(cfg, ci, n, sides=(0,), **kw)
+        lm, la, _ = mcsim._one_sided_chunk(cfg, ci, n, sides=(1,), **kw)
+        left = lm >= rm
+        return np.where(left, lm, rm), np.where(left, -la, ra)
+
+    parts = mcsim._run_chunks(cfg, worker)
+    return mcsim.PathSample(np.concatenate([p[0] for p in parts]),
+                            np.concatenate([p[1] for p in parts]))

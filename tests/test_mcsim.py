@@ -2,20 +2,25 @@
 corrections.  Acceptance-scale runs live in test_acceptance."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import erfc, gammaincc
-from scipy.stats import kstest
+from scipy.stats import ks_2samp, kstest
 
 from chernoff import densities as dens
 from chernoff import mcsim
 from chernoff.densities import StartState
 from chernoff.mcsim import McConfig, PathFunctionals, estimate_hitting_prob
 
+from oracles import two_sided_per_side
+
 
 CFG = McConfig(n_paths=20000, dt=2e-3, t_max=4.0, seed=11, threads=2)
+# the benchmark's Monte Carlo configuration: one chunk on one thread
+BENCH_CFG = McConfig(n_paths=8192, dt=5e-4, t_max=4.0, seed=9101, threads=1)
 
 
 @pytest.fixture(scope="module")
@@ -97,9 +102,10 @@ def test_hitting_estimate_against_quadrature():
 
 
 def test_hitting_across_two_time_slabs():
-    # dt = 1e-4 and t_max = 4.1 give 41000 steps: a slab of 512 coarse
-    # intervals, then a slab of 128 full ones and a last one of 40 steps
+    # dt = 1e-4 and t_max = 4.1 give 41000 steps: 20 slabs of 32 coarse
+    # intervals of 64 steps, then a last slab of one 40-step interval
     cfg = McConfig(n_paths=20000, dt=1e-4, t_max=4.1, seed=6, threads=2)
+    assert cfg.n_steps % (mcsim._SLAB * mcsim._K) == 40
     target = dens.hitting_prob(StartState(0.0, -1.0))
     est = estimate_hitting_prob(StartState(0.0, -1.0), cfg)
     assert abs(est.probability - target) < 3.0 * est.std_error
@@ -259,9 +265,9 @@ def test_bridge_correction_sees_the_same_fine_path(stop_on_hit):
     # which intervals are split depends on grid values only, so switching
     # the bridge crossing test on can only add crossings or move them earlier
     cfg = McConfig(n_paths=4000, dt=1e-3, t_max=5.0, seed=8)
-    kw = dict(s0=0.0, x0=-1.0, side=2, parabola=not stop_on_hit,
-              track_max=not stop_on_hit, track_hit=True,
-              stop_on_hit=stop_on_hit)
+    # a run that tracks no max retires each path after its first passage
+    kw = dict(s0=0.0, x0=-1.0, sides=(2,), parabola=not stop_on_hit,
+              track_max=not stop_on_hit, track_hit=True)
     ht = {}
     for bridge in (True, False):
         ht[bridge] = mcsim._one_sided_chunk(
@@ -283,3 +289,72 @@ def test_refined_moments_match_quadrature():
     t2 = s.argmax ** 2
     assert abs(t2.mean() - dens.argmax_second_moment()) < 4.0 * t2.std() / math.sqrt(n)
     assert abs(s.max.mean() - dens.max_mean_two_sided()) < 4.0 * s.max.std() / math.sqrt(n)
+
+
+class _CountingNormals:
+    """A generator that tallies the normals drawn through it."""
+
+    def __init__(self, gen, tally):
+        self._gen, self._tally = gen, tally
+
+    def standard_normal(self, size, dtype):
+        self._tally[0] += int(np.prod(size))
+        return self._gen.standard_normal(size, dtype=dtype)
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+
+@pytest.fixture
+def normals_drawn(monkeypatch):
+    """count(f): the number of normals the engine draws while f() runs."""
+    stream, tally = mcsim._stream, [0]
+    monkeypatch.setattr(mcsim, "_stream",
+                        lambda *key: _CountingNormals(stream(*key), tally))
+
+    def count(f):
+        tally[0] = 0
+        f()
+        return tally[0]
+
+    return count
+
+
+def test_pure_bm_passage_retires_hit_paths_each_slab(normals_drawn):
+    # 8192 paths over 157 coarse steps draw 1.29 M coarse normals if none
+    # retires; with the whole horizon in one slab, coarse plus refinement
+    # normals come to 2.43 M, and retiring hit paths after each 32-step slab
+    # must bring them under 2.2 M
+    n = normals_drawn(lambda: mcsim.simulate_pure_bm_passage(1.0, BENCH_CFG))
+    assert n <= 2.2e6
+
+
+def test_shared_record_agrees_with_per_side_runs_in_law():
+    # independent seeds: the two samples must come from one law
+    cfg = McConfig(n_paths=40000, dt=2e-3, t_max=4.0, seed=31, threads=2)
+    shared = mcsim.simulate_two_sided(cfg)
+    per_side = two_sided_per_side(replace(cfg, seed=32))
+    assert ks_2samp(shared.max, per_side.max).pvalue > 1e-3
+    assert ks_2samp(shared.argmax, per_side.argmax).pvalue > 1e-3
+
+
+def test_shared_record_draws_fewer_normals(normals_drawn):
+    shared = normals_drawn(lambda: mcsim.simulate_two_sided(BENCH_CFG))
+    per_side = normals_drawn(lambda: two_sided_per_side(BENCH_CFG))
+    assert shared <= 0.75 * per_side
+
+
+def test_peak_memory_per_run():
+    # per-slab arrays: 32 coarse steps of 8192 paths, refined in batches
+    runs = (lambda: mcsim.simulate_two_sided(BENCH_CFG),
+            lambda: estimate_hitting_prob(StartState(0.0, -1.0), BENCH_CFG),
+            lambda: mcsim.simulate_pure_bm_passage(1.0, BENCH_CFG))
+    tracemalloc.start()
+    try:
+        for run in runs:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            assert tracemalloc.get_traced_memory()[1] - base < 20e6
+    finally:
+        tracemalloc.stop()
