@@ -21,13 +21,7 @@ from .densities import (
     tabulate,
 )
 from .mcsim import McConfig, PathFunctionals, estimate_hitting_prob, simulate_two_sided
-from .quadrature import (
-    QuadratureBudgetError,
-    QuadratureResult,
-    QuadratureSpec,
-    integrate_real_line,
-    integrate_semi_infinite,
-)
+from .quadrature import QuadratureBudgetError, QuadratureResult, QuadratureSpec
 
 __version__ = "1.0.0"
 
@@ -39,6 +33,5 @@ __all__ = [
     "max_density_one_sided", "max_marginal_two_sided", "phi", "psi",
     "survival_prob", "tabulate", "McConfig", "PathFunctionals",
     "estimate_hitting_prob", "simulate_two_sided", "QuadratureBudgetError",
-    "QuadratureResult", "QuadratureSpec", "integrate_real_line",
-    "integrate_semi_infinite", "__version__",
+    "QuadratureResult", "QuadratureSpec", "__version__",
 ]

@@ -33,6 +33,8 @@ import math
 import numpy as np
 import scipy.special
 
+from .quadrature import gauss_legendre_panels
+
 __all__ = [
     "AiryOverflowError",
     "SWITCH_RADIUS",
@@ -249,9 +251,6 @@ def log_ai_diff(z: np.ndarray, shift) -> np.ndarray:
 # Scorer functions
 # ----------------------------------------------------------------------------
 
-_GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
-
-
 def _exp_cubic_integral(z: complex, lo: float) -> complex:
     """(1/pi) int_lo^inf exp(t z - t^3/3) dt by composite Gauss-Legendre."""
     z = complex(z)
@@ -273,12 +272,8 @@ def _exp_cubic_integral(z: complex, lo: float) -> complex:
         raise AiryOverflowError("Scorer integral overflows float64")
     width = min(0.5, math.pi / (4.0 * max(1.0, abs(z.imag))))
     n_panel = max(8, int(math.ceil((hi - lo) / width)))
-    edges = np.linspace(lo, hi, n_panel + 1)
-    a, b = edges[:-1, None], edges[1:, None]
-    t = 0.5 * (a + b) + 0.5 * (b - a) * _GL16_X[None, :]
-    w = 0.5 * (b - a) * _GL16_W[None, :]
-    vals = np.exp(t * z - t ** 3 / 3.0)
-    return complex(np.sum(vals * w) / math.pi)
+    t, w = gauss_legendre_panels(lo, hi, 16, n_panel)
+    return complex(np.sum(np.exp(t * z - t ** 3 / 3.0) * w) / math.pi)
 
 
 def scorer_hi(z: complex) -> complex:

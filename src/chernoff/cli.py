@@ -27,13 +27,6 @@ _NUMERICAL_ERRORS = (QuadratureBudgetError, AiryOverflowError,
                      ProbabilityRangeError, ArithmeticError, OverflowError)
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("CHERNOFF_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 class _UsageError(ValueError):
     pass
 
@@ -53,8 +46,9 @@ def _checked(make, *args, **kw):
 
 
 def _grid(args, axis: str = "") -> np.ndarray:
-    """The evenly stepped grid of one axis: --from, --to, --step, or with
-    axis "a_" the joint2 levels --a-from, --a-to, --a-step."""
+    """The evenly stepped grid of one axis, at least two points: --from,
+    --to, --step, or with axis "a_" the joint2 levels --a-from, --a-to,
+    --a-step."""
     names = [axis + n for n in ("from", "to", "step")]
     lo, hi, step = (getattr(args, n) for n in names)
     flo, fhi, fstep = ("--" + n.replace("_", "-") for n in names)
@@ -66,7 +60,10 @@ def _grid(args, axis: str = "") -> np.ndarray:
     except (OverflowError, ValueError, MemoryError):
         raise _UsageError("%s %g gives too many grid points" % (fstep, step)) from None
     g = lo + step * k
-    return g[g <= hi + 1e-12 * max(1.0, abs(hi))]
+    g = g[g <= hi + 1e-12 * max(1.0, abs(hi))]
+    _require(g.size >= 2, "%s %g is wider than %s - %s; a grid needs at least two points"
+             % (fstep, step, fhi, flo))
+    return g
 
 
 def _write_out(path: str | None, text: str) -> None:
@@ -239,7 +236,8 @@ def _add_mc_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--no-bridge", action="store_true",
                    help="disable bridge crossing/max sampling")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int,
+                   default=os.environ.get("CHERNOFF_THREADS", "1"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="divide every tolerance by 100")
     v.add_argument("--paths", type=int, default=100000)
     v.add_argument("--seed", type=int, default=1)
-    v.add_argument("--threads", type=int, default=_default_threads())
+    v.add_argument("--threads", type=int,
+                   default=os.environ.get("CHERNOFF_THREADS", "1"))
     v.add_argument("--report", default=None,
                    help="write line-delimited JSON records here")
     v.set_defaults(func=cmd_verify)

@@ -20,10 +20,9 @@ integrated over the argmax time.
 Laplace inversion runs on two routes that cross-validate each other:
 a fixed-Talbot contour (small times) and the residue series over Airy zeros
 (times >= ~0.9, where it converges to machine precision).  The direct
-Fourier form along the imaginary axis is kept as a slow reference
-(`h_density_fourier`) -- it is how the transform is defined, but its
-integrand only decays like ``exp(-c sqrt(u))``, so it serves as an oracle
-rather than a workhorse.
+Fourier form along the imaginary axis is how the transform is defined, but
+its integrand only decays like ``exp(-c sqrt(u))``, so it lives in the test
+oracles as a slow reference, not here.
 
 ``phi`` has one rule, a composite 15-point Gauss-Legendre sum over u in
 (0, 19] with a panel count from each entry's own |t|, cached by a Chebyshev
@@ -32,7 +31,6 @@ model on |t| <= 4.8.  So has ``g``, on unit y blocks, cached at s = 0.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -49,10 +47,9 @@ from .quadrature import (
     airy_ratio_tail_bound,
     gauss_legendre_panels,
     integrate_interval,
-    integrate_real_line,
-    integrate_semi_infinite,
     kronrod_panels,
-    truncated_panels,
+    panel_edges,
+    truncation,
 )
 
 __all__ = [
@@ -61,7 +58,6 @@ __all__ = [
     "ProbabilityRangeError",
     "NegativeDensityError",
     "h_density",
-    "h_density_fourier",
     "hitting_prob",
     "survival_prob",
     "g_fun",
@@ -225,32 +221,6 @@ def h_density(x: float, t: float) -> float:
     return float(_h_grid(-FOUR13 * x, t)[0, 0])
 
 
-def h_density_fourier(x: float, t: float,
-                      spec: QuadratureSpec | None = None) -> QuadratureResult:
-    """Reference evaluation of h straight from its Fourier form.
-
-    Slow (integrand decays like exp(-c sqrt(u))); used to cross-check the
-    contour inversions at modest tolerances.
-    """
-    if not (x < 0.0 and t > 0.0):
-        raise ValueError("requires x < 0, t > 0")
-    a = -FOUR13 * x
-    spec = spec or QuadratureSpec(abs_tol=1e-5, rel_tol=1e-6,
-                                  max_subdivisions=65536)
-    c = a / math.sqrt(2.0)
-
-    def f(u):
-        zu = 1j * u
-        return (TWO13 / (2.0 * math.pi)) * np.exp(
-            1j * TWO13 * t * u + airy.log_ai_diff(zu, a))
-
-    def decay(U):
-        su = math.sqrt(U)
-        return (TWO13 / math.pi) * 2.0 * (su / c + 1.0 / c ** 2) * math.exp(-c * su)
-
-    return integrate_real_line(f, decay, spec, frequency=TWO13 * t)
-
-
 # ----------------------------------------------------------------------------
 # Hitting probability: outer time integral of h
 # ----------------------------------------------------------------------------
@@ -307,8 +277,7 @@ def hitting_prob(state: StartState, spec: QuadratureSpec | None = None) -> float
     def f(tau):
         return np.exp(2.0 * s * x - _cubic_gap(s, tau)) * _h_grid(a, tau)[0]
 
-    res = integrate_semi_infinite(
-        f, decay, dataclasses.replace(spec, truncation_halfwidth=T))
+    res = integrate_interval(f, 0.0, T, spec, tail=decay(T))
     err = res.err_estimate + _H_ERR * T
     return _as_probability(res.value.real, err, "hitting_prob%s" % (state,))
 
@@ -340,7 +309,10 @@ def _y_cap(s: float) -> float:
 _Y_NODES = 10
 _G0_Y_NODES = 24
 _G_SPEC = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9)
-_G_CHUNK = 1 << 19   # (y, u) entries per log_ai_diff call of the g rule
+# (y, u) entries per log_ai_diff call of the g rule: the g(0, .) model's
+# 116,280 entries go in two calls, so its build allocates 16 MB at its
+# peak instead of 32 MB
+_G_CHUNK = 1 << 16
 
 
 def _g_rule(s: float, A: float, nodes: int):
@@ -354,11 +326,11 @@ def _g_rule(s: float, A: float, nodes: int):
     1e-10 / rel 1e-9 raises a budget error."""
     tilt = TWO13 * max(0.0, -s) * A
     if tilt + math.log(max(A, 1.0)) > 709.0:  # the tail bound overflows
-        raise QuadratureBudgetError(QuadratureResult(math.nan, math.inf, 0, 0.0))
+        raise QuadratureBudgetError(QuadratureResult(math.nan, math.inf, 0))
     grow = math.exp(tilt) * max(A, 1.0)
-    edges, tail = truncated_panels(
-        lambda U: grow * airy_ratio_tail_bound(U) / (2.0 * math.pi), _G_SPEC,
-        frequency=TWO13 * abs(s))
+    U, tail = truncation(lambda U: grow * airy_ratio_tail_bound(U) / (2.0 * math.pi),
+                         _G_SPEC.abs_tol / 2.0)
+    edges = panel_edges(0.0, U, TWO13 * abs(s), _G_SPEC)
     yg, wg = np.polynomial.legendre.leggauss(nodes)
     y_edges = np.minimum(np.arange(math.ceil(A) + 1.0), A)
     half = 0.5 * np.diff(y_edges)
@@ -382,7 +354,7 @@ def _g_rule(s: float, A: float, nodes: int):
               for i in (0, 1))
     f, wy = vk.sum(axis=1), (half * wg[:, None]).ravel()
     value, err = float(wy @ f), float(np.abs(wy @ (vk - vg)).sum()) + tail
-    res = QuadratureResult(value, err, 15 * vk.shape[1], float(edges[-1]))
+    res = QuadratureResult(value, err, 15 * vk.shape[1])
     if not err <= max(_G_SPEC.abs_tol, _G_SPEC.rel_tol * abs(value)):
         raise QuadratureBudgetError(res)
     return y_edges, f.reshape(nodes, -1), res
@@ -398,7 +370,7 @@ def tilted_g(s: float, barrier_width: float | None) -> QuadratureResult:
     cap = _y_cap(s)
     A = cap if barrier_width is None else min(float(barrier_width), cap)
     if A <= 0.0:
-        return QuadratureResult(0.0, 0.0, 0, 0.0)
+        return QuadratureResult(0.0, 0.0, 0)
     return _g_rule(s, A, _Y_NODES)[2]
 
 
@@ -442,7 +414,7 @@ def _phi_weights(n_pan: int) -> tuple[np.ndarray, np.ndarray]:
     Gauss-Legendre rule with n_pan equal panels on (0, 19], scaled by
     2 x 2^{-1/3}/pi (the fold onto u > 0 and the transform's constant)."""
     width = _PHI_U / n_pan
-    u, w = gauss_legendre_panels(0.0, float(n_pan), nodes_per_unit=15)
+    u, w = gauss_legendre_panels(0.0, float(n_pan), 15, n_pan)
     u, w = u * width, w * (width * 2.0 ** (2.0 / 3.0) / math.pi)
     return u, w * np.exp(-airy.log_ai_many(1j * u))
 
@@ -460,7 +432,7 @@ def _phi_rule(t) -> np.ndarray:
     T = np.maximum(1.0, np.ceil(np.abs(t)))
     n_pan = np.ceil(_PHI_U * 4.0 * TWO13 * T / math.pi)
     if np.any(n_pan > QuadratureSpec().max_subdivisions):  # |t| past about 134
-        raise QuadratureBudgetError(QuadratureResult(math.nan, math.inf, 0, _PHI_U))
+        raise QuadratureBudgetError(QuadratureResult(math.nan, math.inf, 0))
     out = np.empty(t.shape)
     for n in np.unique(n_pan):
         idx = np.flatnonzero(n_pan == n)
@@ -570,33 +542,27 @@ def _g0_fast(xarr) -> np.ndarray:
     return np.where(xarr > _G0_DOMAIN, 1.0, inside)
 
 
-def psi(t: float, spec: QuadratureSpec | None = None) -> float:
+def psi(t: float) -> float:
     """psi(t) = int_0^inf h_{-x}(t) g(0, -x) dx  (t >= 0).
 
     At t = 0 the defining integrand degenerates (h concentrates at the
-    barrier); the continuity limit is taken by evaluating at t = 1e-8 with
-    the integral rescaled to the Gaussian width sqrt(2t).
+    barrier); the continuity limit is taken by evaluating at t = 1e-8.
+    Below t = 0.02 the integral runs in x = w v, v in [0, 14], with w the
+    Gaussian width sqrt(2t); from 0.02 on, w = 1 and v = x ends at 8 (10
+    past t = 1.5).
     """
     if t < 0.0:
         raise ValueError("psi requires t >= 0")
-    spec = spec or QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8)
     t_eff = max(float(t), 1e-8)
-    if t_eff < 0.02:
-        w = math.sqrt(2.0 * t_eff)
+    small = t_eff < 0.02
+    w = math.sqrt(2.0 * t_eff) if small else 1.0
+    cap = 14.0 if small else 8.0 if t_eff <= 1.5 else 10.0
 
-        def f(warr):
-            xs = w * warr
-            return w * _h_grid(FOUR13 * xs, t_eff)[:, 0] * _g0_fast(xs)
+    def f(v):
+        xs = w * v
+        return w * _h_grid(FOUR13 * xs, t_eff)[:, 0] * _g0_fast(xs)
 
-        res = integrate_interval(f, 0.0, 14.0, spec)
-        return float(res.value.real)
-
-    cap = 8.0 if t_eff <= 1.5 else 10.0
-
-    def f(xarr):
-        return _h_grid(FOUR13 * xarr, t_eff)[:, 0] * _g0_fast(xarr)
-
-    res = integrate_interval(f, 0.0, cap, spec)
+    res = integrate_interval(f, 0.0, cap, QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8))
     return float(res.value.real)
 
 
@@ -685,18 +651,18 @@ def bm_first_passage_cdf(z: float, u) -> np.ndarray:
 # Moments of the two-sided laws
 # ----------------------------------------------------------------------------
 
-def argmax_second_moment(spec: QuadratureSpec | None = None) -> float:
+def argmax_second_moment() -> float:
     """E tau_M^2 under the two-sided law, by quadrature of t^2 f_Z(t)."""
-    spec = spec or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)
-    res = integrate_interval(lambda t: t * t * chernoff_density(t), -4.0, 4.0, spec)
+    res = integrate_interval(lambda t: t * t * chernoff_density(t), -4.0, 4.0,
+                             QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9))
     return float(res.value.real)
 
 
-def max_mean_two_sided(spec: QuadratureSpec | None = None) -> float:
+def max_mean_two_sided() -> float:
     """E M under the two-sided law: int_0^inf (1 - F_M(a)) da with the exact
     factorization F_M(a) = g(0,-a)^2."""
-    spec = spec or QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9)
-    res = integrate_interval(lambda a: 1.0 - _g0_fast(a) ** 2, 0.0, 10.0, spec)
+    res = integrate_interval(lambda a: 1.0 - _g0_fast(a) ** 2, 0.0, 10.0,
+                             QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9))
     return float(res.value.real)
 
 

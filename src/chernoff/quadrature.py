@@ -1,9 +1,13 @@
-"""Adaptive complex-valued quadrature over the real line and half line.
+"""Adaptive complex-valued quadrature on an interval, with the bound of a
+truncated tail counted in.
 
-One engine drives everything: fixed Gauss-Kronrod 15(7) panels, batch
-evaluation of all pending panels in a single vectorized integrand call,
-bisection of panels whose embedded error estimate exceeds their share of
-the tolerance, and an explicit tail bound for the truncated domain.
+One integrator, `integrate_interval`, serves every adaptive integral: fixed
+Gauss-Kronrod 15(7) panels, batch evaluation of all pending panels in a
+single vectorized integrand call, bisection of panels whose embedded error
+estimate exceeds their share of the tolerance, and an optional bound for
+the part of the domain left out.  An infinite domain is cut at the U that
+`truncation` solves from a decay bound; a Hermitian integrand is folded
+onto u > 0 by its caller.
 
 Integrands must accept a float64 ndarray and return a complex (or float)
 ndarray of the same shape.  Results are bit-reproducible: panel processing
@@ -22,13 +26,12 @@ __all__ = [
     "QuadratureSpec",
     "QuadratureResult",
     "QuadratureBudgetError",
-    "integrate_real_line",
-    "integrate_semi_infinite",
     "integrate_interval",
+    "truncation",
+    "panel_edges",
     "airy_ratio_tail_bound",
     "gauss_legendre_panels",
     "kronrod_panels",
-    "truncated_panels",
 ]
 
 # QUADPACK 15-point Kronrod nodes/weights with embedded 7-point Gauss rule.
@@ -80,7 +83,6 @@ class QuadratureSpec:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     max_subdivisions: int = 4096
-    truncation_halfwidth: float | None = None  # None -> solve decay(U) = abs_tol/2
 
     def __post_init__(self):
         if not (math.isfinite(self.abs_tol) and math.isfinite(self.rel_tol)):
@@ -89,8 +91,6 @@ class QuadratureSpec:
             raise ValueError("tolerances below 1e-14 are not supported")
         if not (0 < self.max_subdivisions <= 2 ** 20):
             raise ValueError("max_subdivisions out of range")
-        if self.truncation_halfwidth is not None and not self.truncation_halfwidth > 0:
-            raise ValueError("truncation_halfwidth must be positive")
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,6 @@ class QuadratureResult:
     value: complex
     err_estimate: float
     evaluations: int
-    truncation_used: float
 
 
 def _pairwise(vals: np.ndarray) -> complex:
@@ -111,9 +110,11 @@ def _pairwise(vals: np.ndarray) -> complex:
     return complex(v[0]) if v.size else 0.0 + 0.0j
 
 
-def _solve_truncation(decay: Callable[[float], float], target: float,
-                      lo: float = 5.0, hi: float = 200.0) -> tuple[float, float]:
-    """Smallest U in [lo, hi] with decay(U) <= target, by bisection."""
+def truncation(decay: Callable[[float], float], target: float) -> tuple[float, float]:
+    """Smallest U in [5, 200] with decay(U) <= target, by bisection, and
+    decay(U): where to cut an infinite domain whose integral beyond U is
+    bounded by decay(U), and the tail bound to pass on."""
+    lo, hi = 5.0, 200.0
     if decay(lo) <= target:
         return lo, decay(lo)
     if decay(hi) > target:
@@ -128,14 +129,17 @@ def _solve_truncation(decay: Callable[[float], float], target: float,
     return b, decay(b)
 
 
-def _panelize(a: float, b: float, frequency: float,
-              spec: QuadratureSpec) -> np.ndarray:
+def panel_edges(a: float, b: float, frequency: float,
+                spec: QuadratureSpec) -> np.ndarray:
+    """First-pass panel edges on [a, b]: at least 4 panels, each at most
+    min(2, pi/(4 max(1, |frequency|))) wide, so oscillatory factors stay
+    resolved; more of them than the subdivision budget is a budget error."""
     cap = min(2.0, math.pi / (4.0 * max(1.0, abs(frequency))))
     n = (b - a) / cap if cap > 0.0 else math.inf
     if not n <= spec.max_subdivisions:
         # more oscillation panels than the subdivision budget, all of them
         # allocated and evaluated before the first error estimate
-        raise QuadratureBudgetError(QuadratureResult(math.nan, math.inf, 0, b - a))
+        raise QuadratureBudgetError(QuadratureResult(math.nan, math.inf, 0))
     return np.linspace(a, b, max(4, int(math.ceil(n))) + 1)
 
 
@@ -148,10 +152,20 @@ def kronrod_panels(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.nd
     return (y * _WK).sum(axis=-1) * half, (y * _WG15).sum(axis=-1) * half
 
 
-def _run_panels(f, edges: np.ndarray, spec: QuadratureSpec,
-                tail_bound: float, truncation: float) -> QuadratureResult:
-    lefts = edges[:-1]
-    rights = edges[1:]
+def integrate_interval(f, a: float, b: float, spec: QuadratureSpec | None = None,
+                       frequency: float = 0.0, tail: float = 0.0) -> QuadratureResult:
+    """Adaptive integral of f over [a, b].
+
+    ``tail`` is a bound, computed by the caller, on |the integral over the
+    part of the domain left out| (0 for a finite domain).  It counts
+    against the tolerance and is added to the error estimate; once it
+    alone leaves the tolerance out of reach, the call raises a budget error
+    instead of refining.  ``frequency`` caps the panel widths (see
+    `panel_edges`).
+    """
+    spec = spec or QuadratureSpec()
+    edges = panel_edges(a, b, frequency, spec)
+    lefts, rights = edges[:-1], edges[1:]
     evals = 0
 
     def eval_panels(lo, hi):
@@ -167,19 +181,17 @@ def _run_panels(f, edges: np.ndarray, spec: QuadratureSpec,
         total_err = float(errs.sum())
         value = _pairwise(vals[np.argsort(lefts, kind="stable")])
         tol = max(spec.abs_tol, spec.rel_tol * abs(value))
-        if total_err + tail_bound <= tol:
+        if total_err + tail <= tol:
             break
-        if tail_bound > 0.9 * tol and total_err <= 0.1 * tail_bound:
-            # tolerance unreachable: the fixed truncation tail dominates
-            raise QuadratureBudgetError(QuadratureResult(
-                value, total_err + tail_bound, evals, truncation))
-        if n_splits >= spec.max_subdivisions:
-            raise QuadratureBudgetError(QuadratureResult(
-                value, total_err + tail_bound, evals, truncation))
+        # give up at the subdivision budget, or at once where the fixed
+        # tail alone leaves the tolerance out of reach
+        if n_splits >= spec.max_subdivisions or (
+                tail > 0.9 * tol and total_err <= 0.1 * tail):
+            raise QuadratureBudgetError(QuadratureResult(value, total_err + tail, evals))
         # split panels near the current worst error; the per-panel share
         # criterion alone would thrash on noise-floor panels while a narrow
         # feature is still being localized
-        share = max(tol - tail_bound, 0.25 * tol) / max(1, len(lefts))
+        share = max(tol - tail, 0.25 * tol) / max(1, len(lefts))
         refine = errs > max(share, 0.3 * float(errs.max()))
         if not refine.any():
             refine = errs >= errs.max()
@@ -193,50 +205,7 @@ def _run_panels(f, edges: np.ndarray, spec: QuadratureSpec,
         vals = np.concatenate([vals[keep], v2])
         errs = np.concatenate([errs[keep], e2])
         lefts, rights = new_l, new_r
-
-    order = np.argsort(lefts, kind="stable")
-    value = _pairwise(vals[order])
-    return QuadratureResult(value, float(errs.sum()) + tail_bound, evals, truncation)
-
-
-def truncated_panels(decay, spec: QuadratureSpec, frequency: float = 0.0,
-                     full_line: bool = False) -> tuple[np.ndarray, float]:
-    """First-pass panel edges on [0, U] ([-U, U] for the full line), with U
-    the spec's or where decay(U) = abs_tol/2, and the tail bound decay(U)."""
-    if spec.truncation_halfwidth is not None:
-        U, tail = spec.truncation_halfwidth, decay(spec.truncation_halfwidth)
-    else:
-        U, tail = _solve_truncation(decay, spec.abs_tol / 2.0)
-    return _panelize(-U if full_line else 0.0, U, frequency, spec), tail
-
-
-def integrate_real_line(f, decay, spec: QuadratureSpec | None = None,
-                        frequency: float = 0.0) -> QuadratureResult:
-    """Integrate f over (-inf, inf), truncating where decay(U) is small.
-
-    ``decay(U)`` must bound ``|integral of f over |u| > U|``.  ``frequency``
-    caps panel widths at pi/(4 max(1,|frequency|)) so oscillatory factors
-    stay resolved.
-    """
-    spec = spec or QuadratureSpec()
-    edges, tail = truncated_panels(decay, spec, frequency, full_line=True)
-    return _run_panels(f, edges, spec, tail, float(edges[-1]))
-
-
-def integrate_semi_infinite(f, decay, spec: QuadratureSpec | None = None,
-                            frequency: float = 0.0) -> QuadratureResult:
-    """Integrate f over [0, inf) with the same contract as the full line."""
-    spec = spec or QuadratureSpec()
-    edges, tail = truncated_panels(decay, spec, frequency)
-    return _run_panels(f, edges, spec, tail, float(edges[-1]))
-
-
-def integrate_interval(f, a: float, b: float, spec: QuadratureSpec | None = None,
-                       frequency: float = 0.0) -> QuadratureResult:
-    """Adaptive integral over the finite interval [a, b] (no tail term)."""
-    spec = spec or QuadratureSpec()
-    edges = _panelize(a, b, frequency, spec)
-    return _run_panels(f, edges, spec, 0.0, b - a)
+    return QuadratureResult(value, total_err + tail, evals)
 
 
 def airy_ratio_tail_bound(U: float) -> float:
@@ -258,15 +227,14 @@ def airy_ratio_tail_bound(U: float) -> float:
     return 2.0 * 4.0 * math.sqrt(math.pi) * env  # both tails, 4x margin
 
 
-def gauss_legendre_panels(a: float, b: float, nodes_per_unit: int):
-    """Fixed composite Gauss-Legendre rule on [a, b].
+def gauss_legendre_panels(a: float, b: float, nodes: int, n_panels: int):
+    """Fixed composite Gauss-Legendre rule on [a, b]: n_panels equal panels
+    with a ``nodes``-point rule each.
 
-    Returns (points, weights).  Panel length <= 1 with a ``nodes_per_unit``-
-    point rule per panel; used for inner integrals where adaptivity would
-    feed noise into an outer adaptive pass.
+    Returns flat (points, weights), panel by panel; used for inner
+    integrals where adaptivity would feed noise into an outer adaptive pass.
     """
-    n_panels = max(1, int(math.ceil(b - a)))
-    x, w = np.polynomial.legendre.leggauss(nodes_per_unit)
+    x, w = np.polynomial.legendre.leggauss(nodes)
     edges = np.linspace(a, b, n_panels + 1)
     lo, hi = edges[:-1, None], edges[1:, None]
     pts = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x[None, :]

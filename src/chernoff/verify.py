@@ -24,7 +24,7 @@ from . import densities as dens
 from . import mcsim
 from .densities import StartState
 from .quadrature import (QuadratureBudgetError, QuadratureSpec, airy_ratio_tail_bound,
-                         integrate_real_line)
+                         integrate_interval, truncation)
 
 __all__ = [
     "CheckReport",
@@ -77,11 +77,14 @@ def _scaled(tol: float, profile: float) -> float:
 # ----------------------------------------------------------------------------
 
 def check_airy_inverse_square_mass(profile: float = 1.0) -> CheckReport:
-    """(1/2pi) int du / Ai(iu)^2 = 1."""
+    """(1/2pi) int du / Ai(iu)^2 = 1, folded onto u > 0 by Ai(-iu) =
+    conj Ai(iu): (1/pi) Re int_0^inf du / Ai(iu)^2."""
     t0 = time.perf_counter()
-    res = integrate_real_line(
-        lambda u: np.exp(-2.0 * airy.log_ai_many(1j * u)) / (2.0 * math.pi),
-        airy_ratio_tail_bound, QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10))
+    spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10)
+    U, tail = truncation(airy_ratio_tail_bound, spec.abs_tol / 2.0)
+    res = integrate_interval(
+        lambda u: np.exp(-2.0 * airy.log_ai_many(1j * u)).real / math.pi,
+        0.0, U, spec, tail=tail)
     return CheckReport.build("airy_inverse_square_mass", 1.0, res.value.real,
                              _scaled(1e-8, profile), t0)
 
@@ -241,17 +244,16 @@ def check_laplace_roundtrip(lambdas: Sequence[float] = (0.5, 1.0, 2.0),
                             xs: Sequence[float] = (-0.5, -1.0),
                             profile: float = 1.0) -> list[CheckReport]:
     """int_0^inf e^{-lam u} h_x(u) du equals the defining Airy ratio."""
-    from .quadrature import integrate_semi_infinite
     out = []
     rate = 2.0 ** (1.0 / 3.0) * abs(float(airy.airy_zeros(1)[0]))  # ~2.946
 
     def roundtrip(lam, x):
         a = -dens.FOUR13 * x
-        spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10,
-                              truncation_halfwidth=max(14.0, 40.0 / (lam + rate)))
-        return integrate_semi_infinite(
-            lambda u: np.exp(-lam * u) * dens._h_grid(a, u)[0],
-            lambda U: 2.0 * math.exp(-(lam + rate) * U), spec).value.real
+        U = max(14.0, 40.0 / (lam + rate))
+        return integrate_interval(
+            lambda u: np.exp(-lam * u) * dens._h_grid(a, u)[0], 0.0, U,
+            QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10),
+            tail=2.0 * math.exp(-(lam + rate) * U)).value.real
 
     for lam in lambdas:
         for x in xs:

@@ -3,15 +3,18 @@
 Most of it is deliberately independent of the package internals: a
 Stirling-series gamma, a brute-force oscillatory quadrature for the real
 Airy integral, a dense fixed-grid rule for smooth decaying integrands, and
-phi from scipy's Airy function on such a grid.  Four read the package: the
+phi from scipy's Airy function on such a grid.  Six read the package: the
 Poincare-series loop that sums every point until the slowest stops takes the
 package's coefficients, so it checks the per-point term counts of
-``airy._asy_sums``; the full-line u integrand of g takes its log-Airy values
-from the package, so it checks the g rule's quadrature rather than its Airy
-values; the max density as a difference of hitting probabilities reads
-the package's hitting probability, a route to it that never evaluates phi;
-and the per-side two-sided Monte Carlo run calls the package's path engine
-once per side, so each side refines against its own record alone.
+``airy._asy_sums``; the full-line integral runs the package's adaptive
+integrator on [-U, U], so folded integrals can be checked against the
+unfolded line; h from its defining Fourier integral and the full-line u
+integrand of g take their log-Airy values from the package, so they check
+the inversion routes and the g rule's quadrature rather than Airy values;
+the max density as a difference of hitting probabilities reads the
+package's hitting probability, a route to it that never evaluates phi; and
+the per-side two-sided Monte Carlo run calls the package's path engine once
+per side, so each side refines against its own record alone.
 """
 
 from __future__ import annotations
@@ -125,6 +128,42 @@ def asy_sums_reference(zeta: np.ndarray) -> np.ndarray:
         if not active.any():
             break
     return s0
+
+
+def integrate_full_line(f, decay, spec=None, frequency: float = 0.0):
+    """The integral of f over the whole line: the adaptive integrator on
+    [-U, U], with U where decay(U), a bound on both tails, is half the
+    absolute tolerance."""
+    from chernoff.quadrature import QuadratureSpec, integrate_interval, truncation
+
+    spec = spec or QuadratureSpec()
+    U, tail = truncation(decay, spec.abs_tol / 2.0)
+    return integrate_interval(f, -U, U, spec, frequency, tail)
+
+
+def h_density_fourier(x: float, t: float):
+    """h straight from its Fourier form, a full-line integral over the
+    imaginary axis whose integrand decays only like exp(-c sqrt(u)): a slow
+    reference for the contour inversions at modest tolerances."""
+    from chernoff import airy
+    from chernoff.densities import FOUR13, TWO13
+    from chernoff.quadrature import QuadratureSpec
+
+    if not (x < 0.0 and t > 0.0):
+        raise ValueError("requires x < 0, t > 0")
+    a = -FOUR13 * x
+    spec = QuadratureSpec(abs_tol=1e-5, rel_tol=1e-6, max_subdivisions=65536)
+    c = a / math.sqrt(2.0)
+
+    def f(u):
+        return (TWO13 / (2.0 * math.pi)) * np.exp(
+            1j * TWO13 * t * u + airy.log_ai_diff(1j * u, a))
+
+    def decay(U):
+        su = math.sqrt(U)
+        return (TWO13 / math.pi) * 2.0 * (su / c + 1.0 / c ** 2) * math.exp(-c * su)
+
+    return integrate_full_line(f, decay, spec, frequency=TWO13 * t)
 
 
 def tilted_g_integrand(s: float, A: float):

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -20,9 +21,9 @@ def run_main(*argv):
     return cli.main(list(argv))
 
 
-def run_proc(*argv):
+def run_proc(*argv, env=None):
     return subprocess.run([sys.executable, "-m", "chernoff.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
 
 
 def test_help_exits_zero_every_verb():
@@ -169,7 +170,7 @@ def test_verify_strict_failure_exit_code():
 
 def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     def boom(*a, **k):
-        raise QuadratureBudgetError(QuadratureResult(0.0, 1.0, 10, 1.0))
+        raise QuadratureBudgetError(QuadratureResult(0.0, 1.0, 10))
     monkeypatch.setattr(cli.dens, "phi", boom)
     out = tmp_path / "x.csv"
     rc = run_main("tabulate", "--which", "phi", "--from", "0", "--to", "1",
@@ -291,6 +292,16 @@ def test_tabulate_far_start_level_reads_zero(tmp_path, which):
     ("tabulate", "--which", "firstpassage", "--x=-1.5e308", "--from", "0.1",
      "--to", "0.3", "--step", "0.1"),
     ("compare", "--target", "hitting", "--x=-1.5e308"),
+    # --step wider than --to - --from: a grid of one point, for every table
+    ("tabulate", "--which", "chernoff", "--from", "0", "--to", "0.5", "--step", "1"),
+    ("tabulate", "--which", "max2", "--from", "0.5", "--to", "1", "--step", "1"),
+    ("tabulate", "--which", "firstpassage", "--from", "0.5", "--to", "1",
+     "--step", "1"),
+    ("tabulate", "--which", "phi", "--from", "0", "--to", "0.5", "--step", "1"),
+    ("tabulate", "--which", "h", "--from", "0.5", "--to", "1", "--step", "1"),
+    ("tabulate", "--which", "joint2", "--from", "0", "--to", "0.5", "--step", "1"),
+    ("tabulate", "--which", "joint2", "--from", "0", "--to", "1", "--step", "0.5",
+     "--a-from", "0.5", "--a-to", "1", "--a-step", "1"),
 ])
 def test_domain_errors_are_one_line_usage_errors(argv):
     r = run_proc(*argv)
@@ -299,13 +310,28 @@ def test_domain_errors_are_one_line_usage_errors(argv):
     assert len(lines) == 1 and lines[0].startswith("usage error: ")
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+@pytest.mark.parametrize("argv", [("verify", "--suite", "mc", "--paths", "10"),
+                                  ("simulate", "--what", "purebm", "--paths", "10")])
+def test_invalid_thread_count_from_the_environment_is_a_usage_error(argv, value):
+    # "abc" fails argparse's int conversion of the default, "0" McConfig's
+    # validation, as --threads abc and --threads 0 do
+    r = run_proc(*argv, env={**os.environ, "CHERNOFF_THREADS": value})
+    assert r.returncode == 2 and "Traceback" not in r.stderr
+    assert "--threads" in r.stderr or "threads must be >= 1" in r.stderr
+
+
 @given(st.floats(-1e3, 1e3), st.floats(1e-6, 1e3), st.integers(0, 1000),
        st.floats(0.0, 1.0, exclude_max=True))
 def test_grid_starts_at_from_steps_evenly_and_ends_at_to(lo, step, n, frac):
     # --to lies n + frac steps past --from, so the grid has at most n + 2 points
     hi = lo + (n + frac) * step
     assume(hi > lo)
-    g = cli._grid(argparse.Namespace(**{"from": lo, "to": hi, "step": step}))
+    try:
+        g = cli._grid(argparse.Namespace(**{"from": lo, "to": hi, "step": step}))
+    except cli._UsageError:
+        assert n == 0  # only a grid of one point is refused
+        return
     tol = 8.0 * np.finfo(float).eps * (abs(lo) + abs(hi) + step)
     assert g[0] == lo and g.size <= n + 2
     assert np.all(np.abs(np.diff(g) - step) <= tol)
@@ -326,10 +352,11 @@ _VALID_FLAGS = {
 
 def _grid_start(lo, hi, step):
     """The first grid point, or None where the README's grid rule refuses
-    the flags (non-finite, step <= 0, --to <= --from, too many points)."""
+    the flags (non-finite, step <= 0, --to <= --from, fewer than two or too
+    many points)."""
     if not (all(map(math.isfinite, (lo, hi, step))) and step > 0 and hi > lo):
         return None
-    return lo if (hi - lo) / step < 1e6 else None
+    return lo if 1.0 <= (hi - lo) / step < 1e6 else None
 
 
 def _breaks_a_rule(which, flags):

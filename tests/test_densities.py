@@ -19,7 +19,6 @@ from chernoff.densities import (
     chernoff_density,
     g_fun,
     h_density,
-    h_density_fourier,
     hitting_prob,
     joint_density_one_sided,
     joint_density_two_sided,
@@ -36,11 +35,11 @@ from chernoff.quadrature import (
     QuadratureSpec,
     airy_ratio_tail_bound,
     gauss_legendre_panels,
-    integrate_real_line,
-    integrate_semi_infinite,
+    integrate_interval,
 )
 
-from oracles import gl_panels, max_density_fd, phi_reference, tilted_g_integrand
+from oracles import (gl_panels, h_density_fourier, integrate_full_line, max_density_fd,
+                     phi_reference, tilted_g_integrand)
 
 
 def ai_ratio_real(znum: float, zden: float) -> float:
@@ -58,11 +57,10 @@ def test_h_laplace_transform_at_zero_and_one():
         a = -dens.FOUR13 * x
         xi = 2.0 ** (-1.0 / 3.0) * lam
         target = ai_ratio_real(xi + a, xi)
-        spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10,
-                              truncation_halfwidth=16.0)
-        res = integrate_semi_infinite(
-            lambda u: np.exp(-lam * u) * dens._h_grid(a, u)[0],
-            lambda U: 2.0 * math.exp(-(lam + 2.9) * U), spec)
+        res = integrate_interval(
+            lambda u: np.exp(-lam * u) * dens._h_grid(a, u)[0], 0.0, 16.0,
+            QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10),
+            tail=2.0 * math.exp(-(lam + 2.9) * 16.0))
         assert abs(res.value.real - target) < 1e-8
 
 
@@ -235,7 +233,7 @@ def test_folded_tilted_g_matches_the_full_line(s, x):
     A = -dens.FOUR13 * x
     spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9)
     f, decay = tilted_g_integrand(s, A)
-    full = integrate_real_line(f, decay, spec, frequency=dens.TWO13 * abs(s))
+    full = integrate_full_line(f, decay, spec, frequency=dens.TWO13 * abs(s))
     folded = tilted_g(s, A)
     assert abs(folded.value - full.value.real) < 1e-13
     assert folded.evaluations <= 0.55 * full.evaluations
@@ -250,7 +248,7 @@ def test_tilted_g_within_its_error_estimate_of_the_reference(s):
     for A in (0.3, 2.5, dens._y_cap(s)) if abs(s) <= 2.0 else (0.3, 1.6):
         got = tilted_g(s, A)
         f, decay = tilted_g_integrand(s, A)
-        ref = integrate_real_line(f, decay, spec, frequency=dens.TWO13 * abs(s))
+        ref = integrate_full_line(f, decay, spec, frequency=dens.TWO13 * abs(s))
         assert abs(got.value - ref.value.real) <= got.err_estimate
 
 
@@ -276,7 +274,7 @@ def _phi_integrand(t: float):
 @pytest.mark.parametrize("t", [-1.37, 2.21])
 def test_folded_phi_matches_the_full_line(t):
     spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13)
-    full = integrate_real_line(_phi_integrand(t), airy_ratio_tail_bound,
+    full = integrate_full_line(_phi_integrand(t), airy_ratio_tail_bound,
                                spec, frequency=dens.TWO13 * abs(t))
     assert abs(phi(t) - full.value.real) < 1e-13
 
@@ -351,6 +349,14 @@ def test_g_rule_chunks_change_memory_not_values(monkeypatch):
         tracemalloc.stop()
     assert peak < 200 * 2 ** 20
     assert res.value == pytest.approx(math.exp(2.0 * 27.0 / 3.0), rel=1e-9)
+    # the g(0, .) model's 116,280 entries take two calls (16 MB; one took 32)
+    tracemalloc.start()
+    try:
+        dens._g_rule(0.0, dens.FOUR13 * dens._G0_DOMAIN, dens._G0_Y_NODES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
     edges, f, whole = dens._g_rule(-1.0, 5.5, 10)
     monkeypatch.setattr(dens, "_G_CHUNK", 1)  # one y block per call
     edges_c, f_c, chunked = dens._g_rule(-1.0, 5.5, 10)
@@ -529,7 +535,7 @@ def test_joint_one_sided_domain():
 
 def test_max_density_one_sided_mass():
     st = StartState(0.0, 0.0)
-    pts, wts = gauss_legendre_panels(1e-4, 4.0, nodes_per_unit=10)
+    pts, wts = gauss_legendre_panels(1e-4, 4.0, 10, 4)
     dens_vals = np.array([max_density_one_sided(float(a), st) for a in pts])
     mass = float((dens_vals * wts).sum())
     target = 1.0 - hitting_prob(StartState(0.0, -4.0))
@@ -602,7 +608,7 @@ def test_max_marginal_routes_agree_where_quadrature_converged():
     # 2 g(0,-a) int_0^14 h_{-a}(t) phi(t) dt; the t grid under-resolves the
     # passage boundary layer at small a
     aa = np.array([1.5, 2.0, 3.0])
-    pts, wts = gauss_legendre_panels(0.0, 14.0, nodes_per_unit=12)
+    pts, wts = gauss_legendre_panels(0.0, 14.0, 12, 14)
     joint = dens._h_grid(dens.FOUR13 * aa, pts) @ (wts * phi(pts))
     d1 = dens._max_marginal_many(aa)
     d2 = 2.0 * dens._g0_fast(aa) * joint
@@ -623,7 +629,7 @@ def test_max_marginal_far_tail_matches_direct_integral(a):
         zu = 1j * u
         return np.exp(airy.log_ai_diff(zu, A) - airy.log_ai_many(zu)) / scale
 
-    res = integrate_real_line(f, lambda U: airy_ratio_tail_bound(U) / scale,
+    res = integrate_full_line(f, lambda U: airy_ratio_tail_bound(U) / scale,
                               QuadratureSpec(abs_tol=1e-14, rel_tol=1e-12),
                               frequency=math.sqrt(A))
     want = (2.0 * tilted_g(0.0, A).value.real * dens.FOUR13 * scale
@@ -632,7 +638,7 @@ def test_max_marginal_far_tail_matches_direct_integral(a):
 
 
 def test_max_marginal_normalizes():
-    pts, wts = gauss_legendre_panels(0.0, 8.0, nodes_per_unit=24)
+    pts, wts = gauss_legendre_panels(0.0, 8.0, 24, 8)
     mass = float((dens._max_marginal_many(pts) * wts).sum())
     assert abs(mass - 1.0) < 1e-8
 

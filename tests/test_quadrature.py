@@ -13,56 +13,66 @@ from chernoff.quadrature import (
     airy_ratio_tail_bound,
     gauss_legendre_panels,
     integrate_interval,
-    integrate_real_line,
-    integrate_semi_infinite,
+    truncation,
 )
 
-from oracles import gamma_stirling, gl_panels
+from oracles import gamma_stirling, gl_panels, integrate_full_line
 
 
 def gaussian(spec=None):
-    return integrate_real_line(lambda u: np.exp(-u * u),
+    return integrate_full_line(lambda u: np.exp(-u * u),
                                lambda U: math.exp(-U * U), spec)
 
 
+def half_line(f, decay, spec):
+    """f over [0, inf): the integrator on [0, U] with the tail bound decay(U)."""
+    U, tail = truncation(decay, spec.abs_tol / 2.0)
+    return integrate_interval(f, 0.0, U, spec, tail=tail)
+
+
+def airy_square(u):
+    return np.exp(-2.0 * airy.log_ai_many(1j * u)) / (2.0 * math.pi)
+
+
 def test_gaussian_reference():
-    res = gaussian(QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12))
+    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
+    res = gaussian(spec)
     assert abs(res.value.real - math.sqrt(math.pi)) < 1e-12
     assert res.err_estimate <= 1e-12 * 10
-    assert res.evaluations > 0 and res.truncation_used >= 5.0
+    U, _ = truncation(lambda U: math.exp(-U * U), spec.abs_tol / 2.0)
+    assert res.evaluations > 0 and U >= 5.0
 
 
 def test_odd_integrand_cancels():
-    res = integrate_real_line(lambda u: u * np.exp(-u * u),
+    res = integrate_full_line(lambda u: u * np.exp(-u * u),
                               lambda U: (U + 1.0) * math.exp(-U * U))
     assert abs(res.value) < res.err_estimate + 1e-13
 
 
 def test_airy_square_unit_mass():
-    res = integrate_real_line(
-        lambda u: np.exp(-2.0 * airy.log_ai_many(1j * u)) / (2.0 * math.pi),
-        airy_ratio_tail_bound, QuadratureSpec(abs_tol=1e-11))
+    res = integrate_full_line(
+        airy_square, airy_ratio_tail_bound, QuadratureSpec(abs_tol=1e-11))
     assert abs(res.value.real - 1.0) < 1e-10
     assert abs(res.value.imag) < res.err_estimate
 
 
 def test_semi_infinite_exponential():
-    res = integrate_semi_infinite(lambda t: np.exp(-t), lambda U: math.exp(-U),
-                                  QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12))
+    res = half_line(lambda t: np.exp(-t), lambda U: math.exp(-U),
+                    QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12))
     assert abs(res.value.real - 1.0) < 1e-12
 
 
 def test_semi_infinite_cubic_against_fixed_grid_oracle():
     oracle = gl_panels(lambda t: np.exp(-t ** 3 / 3.0), 0.0, 12.0, 60)
     assert abs(oracle - 3.0 ** (-2.0 / 3.0) * gamma_stirling(1.0 / 3.0)) < 1e-13
-    res = integrate_semi_infinite(lambda t: np.exp(-t ** 3 / 3.0),
-                                  lambda U: math.exp(-U ** 3 / 3.0),
-                                  QuadratureSpec(abs_tol=1e-12))
+    res = half_line(lambda t: np.exp(-t ** 3 / 3.0),
+                    lambda U: math.exp(-U ** 3 / 3.0),
+                    QuadratureSpec(abs_tol=1e-12))
     assert abs(res.value.real - oracle) < 1e-12
 
 
 def test_semi_infinite_airy_third():
-    res = integrate_semi_infinite(
+    res = half_line(
         lambda y: np.exp(airy.log_ai_many(y)),
         lambda U: 2.0 * math.exp(-(2.0 / 3.0) * U ** 1.5),
         QuadratureSpec(abs_tol=1e-12))
@@ -96,9 +106,7 @@ def test_halving_tolerance_never_hurts():
 def test_error_estimate_honesty_tolerance_sweep():
     refs = [
         (lambda spec: gaussian(spec), math.sqrt(math.pi)),
-        (lambda spec: integrate_real_line(
-            lambda u: np.exp(-2.0 * airy.log_ai_many(1j * u)) / (2.0 * math.pi),
-            airy_ratio_tail_bound, spec), 1.0),
+        (lambda spec: integrate_full_line(airy_square, airy_ratio_tail_bound, spec), 1.0),
     ]
     for fn, target in refs:
         for tol in (1e-6, 1e-8, 1e-10):
@@ -125,27 +133,25 @@ def test_budget_exceeded_reports_best_value():
 
 def test_unreachable_tail_fails_fast():
     # tail bound alone above the tolerance: engine must give up quickly
-    spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10,
-                          truncation_halfwidth=3.0)
+    spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
     with pytest.raises(QuadratureBudgetError) as exc:
-        integrate_real_line(lambda u: np.exp(-u * u),
-                            lambda U: math.exp(-U * U), spec)
+        integrate_interval(lambda u: np.exp(-u * u), -3.0, 3.0, spec,
+                           tail=math.exp(-9.0))
     res = exc.value.result
     assert abs(res.value.real - math.sqrt(math.pi)) <= res.err_estimate
 
 
 def test_truncation_sensitivity_error_grows():
-    wide = integrate_real_line(
-        lambda u: np.exp(-2.0 * airy.log_ai_many(1j * u)) / (2.0 * math.pi),
-        airy_ratio_tail_bound, QuadratureSpec(abs_tol=1e-8))
+    spec = QuadratureSpec(abs_tol=1e-8)
+    wide_U, wide_tail = truncation(airy_ratio_tail_bound, spec.abs_tol / 2.0)
+    wide = integrate_interval(airy_square, -wide_U, wide_U, spec, tail=wide_tail)
+    narrow_U = wide_U / 2.0
     try:
-        narrow = integrate_real_line(
-            lambda u: np.exp(-2.0 * airy.log_ai_many(1j * u)) / (2.0 * math.pi),
-            airy_ratio_tail_bound,
-            QuadratureSpec(abs_tol=1e-8, truncation_halfwidth=wide.truncation_used / 2.0))
+        narrow = integrate_interval(airy_square, -narrow_U, narrow_U, spec,
+                                    tail=airy_ratio_tail_bound(narrow_U))
     except QuadratureBudgetError as exc:
         narrow = exc.result
-    assert narrow.truncation_used < wide.truncation_used
+    assert narrow_U < wide_U
     assert narrow.err_estimate > wide.err_estimate
 
 
@@ -156,8 +162,6 @@ def test_spec_validation():
         QuadratureSpec(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(max_subdivisions=2 ** 21)
-    with pytest.raises(ValueError):
-        QuadratureSpec(truncation_halfwidth=-2.0)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             QuadratureSpec(abs_tol=bad)
@@ -175,14 +179,14 @@ def test_oscillation_panels_beyond_the_budget_are_refused_up_front(frequency):
         return np.exp(-u * u)
 
     with pytest.raises(QuadratureBudgetError):
-        integrate_real_line(f, lambda U: math.exp(-U * U),
+        integrate_full_line(f, lambda U: math.exp(-U * U),
                             QuadratureSpec(abs_tol=1e-11), frequency=frequency)
     assert calls == []
 
 
 def test_oscillation_cap_resolves_high_frequency():
     t = 40.0
-    res = integrate_real_line(lambda u: np.exp(1j * t * u - u * u),
+    res = integrate_full_line(lambda u: np.exp(1j * t * u - u * u),
                               lambda U: math.exp(-U * U) * 2.0,
                               QuadratureSpec(abs_tol=1e-11), frequency=t)
     target = math.sqrt(math.pi) * math.exp(-t * t / 4.0)
@@ -191,7 +195,7 @@ def test_oscillation_cap_resolves_high_frequency():
 
 
 def test_gauss_legendre_panels_exactness():
-    pts, wts = gauss_legendre_panels(0.0, 3.0, nodes_per_unit=8)
+    pts, wts = gauss_legendre_panels(0.0, 3.0, 8, 3)
     # degree-15 exactness per unit panel
     for p in range(0, 15):
         got = float((pts ** p * wts).sum())

@@ -1,12 +1,16 @@
 """Verification harness: reports, profiles, reproducibility."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from chernoff import verify
+from chernoff import airy, verify
+from chernoff.quadrature import QuadratureSpec, airy_ratio_tail_bound
 from chernoff.verify import CheckReport, run_all, summarize, to_ndjson
+
+from oracles import integrate_full_line
 
 
 def _payload(r: CheckReport):
@@ -33,6 +37,21 @@ def test_unit_mass_check_and_tolerance_monotonicity():
     # looser tolerance keeps passing
     r6 = verify.check_airy_inverse_square_mass(profile=100.0)
     assert r6.passed and r6.tol == pytest.approx(1e-6)
+
+
+def test_folded_unit_mass_check_halves_the_full_line_work(monkeypatch):
+    # the check integrates 2 Re over u > 0 of the Hermitian 1/(2pi Ai(iu)^2);
+    # the full line at the same spec is the reference
+    log_ai = airy.log_ai_many
+    points = []
+    monkeypatch.setattr(airy, "log_ai_many",
+                        lambda z: points.append(np.size(z)) or log_ai(z))
+    r = verify.check_airy_inverse_square_mass()
+    full = integrate_full_line(
+        lambda u: np.exp(-2.0 * log_ai(1j * u)) / (2.0 * math.pi),
+        airy_ratio_tail_bound, QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10))
+    assert sum(points) <= 0.55 * full.evaluations
+    assert abs(r.computed - 1.0) <= 1e-13
 
 
 def test_psi_phi_and_laplace_names_present():
