@@ -24,9 +24,9 @@ Fourier form along the imaginary axis is how the transform is defined, but
 its integrand only decays like ``exp(-c sqrt(u))``, so it lives in the test
 oracles as a slow reference, not here.
 
-``phi`` has one rule, a composite 15-point Gauss-Legendre sum over u in
-(0, 19] with a panel count from each entry's own |t|, cached by a Chebyshev
-model on |t| <= 4.8.  So has ``g``, on unit y blocks, cached at s = 0.
+``phi`` is the residue series over the Airy zeros below t = -1, and
+e^{-(2/3) t^3} k(t, 0) from there on, with k a trapezoid sum on a saddle line
+per band of t; nothing caches it.  ``g`` has one rule, cached at s = 0.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .quadrature import (
     QuadratureSpec,
     QuadratureResult,
     airy_ratio_tail_bound,
-    gauss_legendre_panels,
     integrate_interval,
     kronrod_panels,
     panel_edges,
@@ -234,9 +233,9 @@ def _cubic_gap(s: float, tau) -> np.ndarray:
 def _passage_horizon(s: float, x: float, shift: float, target: float,
                      weighted: bool = False):
     """Time T past which the passage density from (s, x), Airy shift
-    ``shift``, integrates to at most ``target``, and the tail bound
-    ``decay`` it solves.  ``weighted`` bounds that density times the
-    barrier factor k(s + tau, 0) <= 5 max(1, s + tau) instead."""
+    ``shift``, integrates to at most ``target``, and that tail bound.
+    ``weighted`` bounds that density times the barrier factor
+    k(s + tau, 0) <= 5 max(1, s + tau) instead."""
     zeros, aip = _residue_data()
     lead = TWO13 * abs(float(scipy.special.airy(zeros[0] + shift)[0] / aip[0]))
     hbar = 2.0 * (1.0 + lead)
@@ -248,17 +247,8 @@ def _passage_horizon(s: float, x: float, shift: float, target: float,
         grow = 5.0 * max(s + T, 1.0) if weighted else 1.0
         return grow * hbar * math.exp(body) / (2.0 * max(s + T, 1.0) ** 2)
 
-    lo = max(1.0, 1.5 - s)
-    T, hi = lo, 60.0
-    if decay(lo) > target:
-        for _ in range(60):  # continuous in (s, x): finite differences stay smooth
-            T = 0.5 * (lo + hi)
-            if decay(T) > target:
-                lo = T
-            else:
-                hi = T
-        T = hi
-    return T, decay
+    # a fixed bisection count keeps finite differences of hitting_prob smooth
+    return truncation(decay, target, lo=max(1.0, 1.5 - s), hi=60.0)
 
 
 def hitting_prob(state: StartState, spec: QuadratureSpec | None = None) -> float:
@@ -272,12 +262,12 @@ def hitting_prob(state: StartState, spec: QuadratureSpec | None = None) -> float
     spec = spec or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)
     s, x = state.s, state.x
     a = state.shift
-    T, decay = _passage_horizon(s, x, a, spec.abs_tol / 2.0)
+    T, tail = _passage_horizon(s, x, a, spec.abs_tol / 2.0)
 
     def f(tau):
         return np.exp(2.0 * s * x - _cubic_gap(s, tau)) * _h_grid(a, tau)[0]
 
-    res = integrate_interval(f, 0.0, T, spec, tail=decay(T))
+    res = integrate_interval(f, 0.0, T, spec, tail=tail)
     err = res.err_estimate + _H_ERR * T
     return _as_probability(res.value.real, err, "hitting_prob%s" % (state,))
 
@@ -336,10 +326,14 @@ def _g_rule(s: float, A: float, nodes: int):
     half = 0.5 * np.diff(y_edges)
     y = y_edges[:-1] + half * (yg[:, None] + 1.0)   # (nodes, blocks)
 
+    base = []  # log Ai(iu), the same in every chunk
+
     def f_u(yc):
         def f(u):
             zu = 1j * u
-            return np.exp(airy.log_ai_diff(zu, yc) - airy.log_ai_many(zu)
+            if not base:
+                base.append(airy.log_ai_many(zu))
+            return np.exp(airy.log_ai_diff(zu, yc) - base[0]
                           - TWO13 * s * (zu + yc)).real / math.pi
         return f
 
@@ -403,76 +397,67 @@ def tilted_g_limit(s: float) -> float:
 # phi and the argmax density
 # ----------------------------------------------------------------------------
 
-_PHI_U = 19.0       # 1/|Ai(iu)| < 1e-16 past here
-_PHI_DOMAIN = 4.8   # the Chebyshev model's interval
-_PHI_CHUNK = 1 << 17  # entries of one block of e^{-i 2^{1/3} t u} terms
+_PHI_T_MAX = 10.5   # phi underflows to 0 from about t = 10.4
+_PHI_ROWS = 4096    # entries per block of (entries, nodes) terms
+_FZ_DOMAIN = 4.8    # the argmax CDF model's interval
 
 
-@lru_cache(maxsize=16)
-def _phi_weights(n_pan: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes u and weights w / Ai(iu) of the composite 15-point
-    Gauss-Legendre rule with n_pan equal panels on (0, 19], scaled by
-    2 x 2^{-1/3}/pi (the fold onto u > 0 and the transform's constant)."""
-    width = _PHI_U / n_pan
-    u, w = gauss_legendre_panels(0.0, float(n_pan), 15, n_pan)
-    u, w = u * width, w * (width * 2.0 ** (2.0 / 3.0) / math.pi)
-    return u, w * np.exp(-airy.log_ai_many(1j * u))
+@lru_cache(maxsize=None)
+def _k_band(b: int):
+    """Centre t_c, nodes v and log weights of band b of the k rule: the line
+    z = c + iv, c = 4^{1/3} t_c^2, crosses the saddle of e^{-2^{1/3} t_c z} /
+    Ai(z), t_c^{3/2} = b + 1/2 (c = 1/2 in band 0); steps of 0.75 (0.3 in band
+    0) on v in [0, 16 + 3 sqrt c]; log weights log w - log Ai(z) - (2/3) c^{3/2},
+    with 2 x 2^{-1/3}/pi (the fold onto v >= 0 and the constant) in w."""
+    tc = (b + 0.5) ** (2.0 / 3.0) if b else 0.5 ** 0.5 / TWO13
+    step = 0.75 if b else 0.3
+    v = step * np.arange(math.floor((16.0 + 3.0 * TWO13 * tc) / step) + 1.0)
+    w = np.where(v == 0.0, 0.5, 1.0) * (2.0 * step / (TWO13 * math.pi))
+    z = FOUR13 * tc * tc + 1j * v
+    return tc, v, np.log(w) - airy.log_ai_many(z) - (4.0 / 3.0) * tc ** 3
 
 
-def _phi_rule(t) -> np.ndarray:
-    """phi on a 1-D array by the fixed rule 2 Re sum w e^{-i 2^{1/3} t u} /
-    Ai(iu) over (0, 19].  Each entry takes its own panel count and its own
-    row sum, so no entry depends on the batch; rows go in blocks of at most
-    _PHI_CHUNK terms."""
-    t = np.asarray(t, dtype=np.float64)
-    if not np.all(np.isfinite(t)):
-        raise ValueError("phi needs finite t")
-    # panel width pi/(4 2^{1/3} T), T = max(1, ceil|t|): an eighth of the
-    # period of e^{-i 2^{1/3} T u}
-    T = np.maximum(1.0, np.ceil(np.abs(t)))
-    n_pan = np.ceil(_PHI_U * 4.0 * TWO13 * T / math.pi)
-    if np.any(n_pan > QuadratureSpec().max_subdivisions):  # |t| past about 134
-        raise QuadratureBudgetError(QuadratureResult(math.nan, math.inf, 0))
+def _k_rule(t: np.ndarray) -> np.ndarray:
+    """k(t, 0) = e^{(2/3) t^3} phi(t) for t >= -1 on a 1-D array: 2 Re of the
+    trapezoid sum of e^{(2/3) t^3 - 2^{1/3} t z} / Ai(z) on the line of band
+    floor(max(t, 0)^{3/2}), whose large exponents cancel in closed form to
+    (2/3)(t - t_c)^2 (t + 2 t_c).  Each entry sums its own row."""
+    band = np.floor(np.maximum(t, 0.0) ** 1.5)
     out = np.empty(t.shape)
-    for n in np.unique(n_pan):
-        idx = np.flatnonzero(n_pan == n)
-        u, w = _phi_weights(int(n))
-        rows = max(1, _PHI_CHUNK // u.size)
-        for k in range(0, idx.size, rows):
-            j = idx[k:k + rows]
-            terms = np.exp((-1j * TWO13) * t[j, None] * u) * w
-            out[j] = terms.sum(axis=-1).real
+    for b in np.unique(band):
+        j = np.flatnonzero(band == b)
+        tc, v, logw = _k_band(int(b))
+        tj = t[j, None]
+        lift = (2.0 / 3.0) * (tj - tc) ** 2 * (tj + 2.0 * tc)
+        out[j] = (np.exp(logw.real + lift)
+                  * np.cos(logw.imag - TWO13 * tj * v)).sum(axis=-1)
     return out
-
-
-@lru_cache(maxsize=1)
-def _phi_interp():
-    """Degree-140 Chebyshev model of phi on [-4.8, 4.8], interpolated from
-    the rule; it reads phi within 5e-15 of the rule at a fraction of the
-    cost of the direct sums."""
-    return np.polynomial.chebyshev.Chebyshev.interpolate(
-        _phi_rule, 140, domain=[-_PHI_DOMAIN, _PHI_DOMAIN])
 
 
 def phi(t):
     """phi(t) = (1/(4^{1/3} pi)) int e^{-itv} / Ai(i 2^{-1/3} v) dv, for a
-    scalar (returns a float) or an array: the Chebyshev model on
-    |t| <= 4.8, the rule itself beyond.  Non-finite t is a ValueError;
-    |t| past about 134 is a QuadratureBudgetError."""
+    scalar (returns a float) or an array.  Below t = -1 it is the residue
+    series 2^{2/3} sum_k e^{-2^{1/3} t a_k} / Ai'(a_k) over the 64 Airy zeros
+    a_k; from there e^{-(2/3) t^3} k(t, 0) by the k rule; past t = 10.5, 0.
+    Non-finite t is a ValueError."""
     arr = np.asarray(t, dtype=np.float64)
-    flat = arr.ravel()
-    inside = np.abs(flat) <= _PHI_DOMAIN
-    out = np.empty(flat.shape)
-    if inside.any():
-        out[inside] = _phi_interp()(flat[inside])
-    if not inside.all():
-        out[~inside] = _phi_rule(flat[~inside])
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("phi needs finite t")
+    zeros, aip = _residue_data()
+    out = np.zeros(arr.size)
+    for i in range(0, arr.size, _PHI_ROWS):
+        ti, oi = arr.ravel()[i:i + _PHI_ROWS], out[i:i + _PHI_ROWS]
+        left, mid = ti < -1.0, (ti >= -1.0) & (ti <= _PHI_T_MAX)
+        oi[left] = FOUR13 * (np.exp(-TWO13 * np.outer(ti[left], zeros)) / aip).sum(-1)
+        oi[mid] = np.exp((-2.0 / 3.0) * ti[mid] ** 3) * _k_rule(ti[mid])
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def k_at_barrier(s: float) -> float:
     """k(s, 0) = exp((2/3) s^3) phi(s): barrier derivative of the hitting
-    probability."""
+    probability, read from the k rule on [-1, 10.5]."""
+    if -1.0 <= s <= _PHI_T_MAX:
+        return float(_k_rule(np.array([float(s)]))[0])
     return math.exp((2.0 / 3.0) * s ** 3) * phi(s)
 
 
@@ -486,16 +471,16 @@ def chernoff_density(t):
 def _fz_cdf_interp():
     """Antiderivative of the argmax density; F(-4.8) ~ 0."""
     integ = np.polynomial.chebyshev.Chebyshev.interpolate(
-        chernoff_density, 160, domain=[-_PHI_DOMAIN, _PHI_DOMAIN]).integ()
-    return integ - integ(-_PHI_DOMAIN)
+        chernoff_density, 160, domain=[-_FZ_DOMAIN, _FZ_DOMAIN]).integ()
+    return integ - integ(-_FZ_DOMAIN)
 
 
 def chernoff_cdf(t) -> np.ndarray:
     """CDF of the argmax law, from the cached Chebyshev antiderivative."""
     t = np.asarray(t, dtype=np.float64)
-    out = np.clip(_fz_cdf_interp()(np.clip(t, -_PHI_DOMAIN, _PHI_DOMAIN)), 0.0, None)
-    total = _fz_cdf_interp()(_PHI_DOMAIN)
-    out = np.where(t > _PHI_DOMAIN, total, out)
+    out = np.clip(_fz_cdf_interp()(np.clip(t, -_FZ_DOMAIN, _FZ_DOMAIN)), 0.0, None)
+    total = _fz_cdf_interp()(_FZ_DOMAIN)
+    out = np.where(t > _FZ_DOMAIN, total, out)
     return np.minimum(out, 1.0)
 
 

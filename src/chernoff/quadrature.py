@@ -110,11 +110,12 @@ def _pairwise(vals: np.ndarray) -> complex:
     return complex(v[0]) if v.size else 0.0 + 0.0j
 
 
-def truncation(decay: Callable[[float], float], target: float) -> tuple[float, float]:
-    """Smallest U in [5, 200] with decay(U) <= target, by bisection, and
+def truncation(decay: Callable[[float], float], target: float,
+               lo: float = 5.0, hi: float = 200.0) -> tuple[float, float]:
+    """Smallest U in [lo, hi] with decay(U) <= target, by 60 bisections, and
     decay(U): where to cut an infinite domain whose integral beyond U is
-    bounded by decay(U), and the tail bound to pass on."""
-    lo, hi = 5.0, 200.0
+    bounded by decay(U), and the tail bound to pass on.  U is hi when
+    decay(hi) > target."""
     if decay(lo) <= target:
         return lo, decay(lo)
     if decay(hi) > target:

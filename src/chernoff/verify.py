@@ -328,7 +328,10 @@ def check_incomplete_scorer_ode(profile: float = 1.0) -> list[CheckReport]:
 
 
 def check_chernoff_density(profile: float = 1.0) -> list[CheckReport]:
-    """Symmetry of f_Z and unit trapezoid mass on [-3, 3] at step 0.01."""
+    """Symmetry of f_Z, its unit trapezoid mass on [-3, 3] at step 0.01, and
+    its log-concavity (Balabdaoui & Wellner, Bernoulli 2014): the largest
+    positive second difference of log f_Z on [-8, 8] at step 0.05 (0 if
+    none), which must be 0; a zero or non-finite f_Z there reads inf."""
     out = []
     t0 = time.perf_counter()
     gap = abs(dens.chernoff_density(0.7) - dens.chernoff_density(-0.7))
@@ -339,6 +342,12 @@ def check_chernoff_density(profile: float = 1.0) -> list[CheckReport]:
     mass = dens.tabulate("argmax", grid).trapezoid_mass()
     out.append(CheckReport.build("chernoff_unit_mass", 1.0, mass,
                                  _scaled(1e-5, profile), t0))
+    t0 = time.perf_counter()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d2 = np.diff(np.log(dens.chernoff_density(np.linspace(-8.0, 8.0, 321))), 2)
+    worst = max(0.0, float(d2.max())) if np.all(np.isfinite(d2)) else math.inf
+    out.append(CheckReport.build("chernoff_log_concavity", 0.0, worst,
+                                 _scaled(0.0, profile), t0))
     return out
 
 

@@ -3,7 +3,9 @@
 Most of it is deliberately independent of the package internals: a
 Stirling-series gamma, a brute-force oscillatory quadrature for the real
 Airy integral, a dense fixed-grid rule for smooth decaying integrands, and
-phi from scipy's Airy function on such a grid.  Six read the package: the
+phi from scipy's Airy function on such a grid, and k(t, 0) and phi's left
+tail at 30 digits with mpmath, from the saddle contour and the Airy-zero
+residues.  Six read the package: the
 Poincare-series loop that sums every point until the slowest stops takes the
 package's coefficients, so it checks the per-point term counts of
 ``airy._asy_sums``; the full-line integral runs the package's adaptive
@@ -20,6 +22,7 @@ per side, so each side refines against its own record alone.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import scipy.special
@@ -104,6 +107,44 @@ def phi_reference(t) -> np.ndarray:
     c = 2.0 ** (2.0 / 3.0) / math.pi
     return np.array([c * np.sum(w * np.exp(-1j * 2.0 ** (1.0 / 3.0) * tv * u)).real
                      for tv in t])
+
+
+def k_reference(t: float) -> float:
+    """k(t, 0) = e^{(2/3) t^3} phi(t) at 30 digits with mpmath: 2 Re of
+    (2^{-1/3}/pi) int_0^inf e^{(2/3) t^3 - 2^{1/3} t z} / Ai(z) dv on the
+    line z = c + iv, c = max(4^{1/3} t^2, 1/2), by tanh-sinh quadrature."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        t = mp.mpf(t)
+        c, a = max(mp.cbrt(4) * t * t, mp.mpf(0.5)), mp.cbrt(2)
+
+        def f(v):
+            z = c + 1j * v
+            return (mp.exp(mp.mpf(2) / 3 * t ** 3 - a * t * z) / mp.airyai(z)).real
+
+        return float(2 * mp.quad(f, [0, 2, 5, 10, 20, 40, mp.inf]) / (a * mp.pi))
+
+
+@lru_cache(maxsize=1)
+def _mp_airy_zeros(n: int):
+    import mpmath as mp
+
+    with mp.workdps(30):
+        zeros = [mp.airyaizero(k) for k in range(1, n + 1)]
+        return [(a, mp.airyai(a, derivative=1)) for a in zeros]
+
+
+def phi_residue_reference(t: float) -> float:
+    """phi(t) for t <= -1 at 30 digits with mpmath: the residue series
+    2^{2/3} sum_k e^{-2^{1/3} t a_k} / Ai'(a_k) over the first 120 Airy
+    zeros a_k (the 121st term is below e^{-80} of the first at t = -1)."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        t = mp.mpf(t)
+        return float(mp.cbrt(4) * mp.fsum(mp.exp(-mp.cbrt(2) * t * a) / d
+                                          for a, d in _mp_airy_zeros(120)))
 
 
 def asy_sums_reference(zeta: np.ndarray) -> np.ndarray:

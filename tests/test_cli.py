@@ -207,8 +207,9 @@ def test_negative_density_beyond_rounding_is_numerical_failure(tmp_path,
     assert not out.exists()
 
 
-def test_tabulate_chernoff_on_both_sides_of_the_phi_model(tmp_path):
-    # the model covers |t| <= 4.8; the rule's direct sums the rest
+def test_tabulate_chernoff_on_both_phi_routes(tmp_path):
+    # phi(t) phi(-t) reads the residue series on one side and the k rule on
+    # the other for |t| > 1, and the k rule on both sides within
     from oracles import phi_reference
     out = tmp_path / "wide.csv"
     assert run_main("tabulate", "--which", "chernoff", "--from", "-8", "--to", "8",

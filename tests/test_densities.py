@@ -2,6 +2,7 @@
 marginal densities, moments, tabulation."""
 
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -38,8 +39,9 @@ from chernoff.quadrature import (
     integrate_interval,
 )
 
-from oracles import (gl_panels, h_density_fourier, integrate_full_line, max_density_fd,
-                     phi_reference, tilted_g_integrand)
+from oracles import (gl_panels, h_density_fourier, integrate_full_line, k_reference,
+                     max_density_fd, phi_reference, phi_residue_reference,
+                     tilted_g_integrand)
 
 
 def ai_ratio_real(znum: float, zden: float) -> float:
@@ -369,18 +371,15 @@ def test_phi_real_and_positive():
         assert phi(t) > 0.0
 
 
-def test_phi_interpolant_matches_direct():
-    t = np.array([0.37, -1.234, 2.75, -3.9, 4.8, -4.8])
-    assert np.all(np.abs(dens._phi_interp()(t) - dens._phi_rule(t)) < 1e-14)
-
-
 def test_phi_against_the_scipy_reference():
     # both sides of the model's |t| <= 4.8, out to where phi is rounding
     t = np.concatenate([np.linspace(-14.0, 8.0, 89), [-4.9, -4.8, 4.8, 4.9]])
     assert np.all(np.abs(phi(t) - phi_reference(t)) < 1e-14)
 
 
-_PHI_T = hst.one_of(hst.floats(-4.8, 4.8), hst.floats(-14.0, 14.0))
+# across t = -1, where the residue series hands over to the k rule, and
+# every k band up to t = 10.5, past which phi is 0
+_PHI_T = hst.one_of(hst.floats(-4.8, 4.8), hst.floats(-40.0, 40.0))
 
 
 @settings(max_examples=30)
@@ -399,13 +398,70 @@ def test_phi_shapes_and_domain():
     assert phi([0.5, -6.0])[1] == phi(-6.0)
     with pytest.raises(ValueError):
         phi(math.nan)
-    # past about |t| = 134 the rule needs more panels than the budget; the
-    # error comes before anything is allocated (1e300 would need 1e301 panels)
-    with pytest.raises(QuadratureBudgetError):
-        phi(1e300)
-    with pytest.raises(QuadratureBudgetError):
-        phi(np.array([0.5, -140.0]))
+    # every finite t has a value: 0 where phi underflows on either side
+    assert phi(1e300) == 0.0
+    assert phi(-1e300) == 0.0
+    assert np.all(np.isfinite(phi(np.array([0.5, -140.0]))))
     assert math.isfinite(phi(-130.0))
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0])
+def test_k_at_barrier_relative_to_the_contour_reference(t):
+    # k(t, 0) = e^{(2/3) t^3} phi(t) is O(t), while phi falls like
+    # e^{-(2/3) t^3}: an absolute error in phi would swamp it (k(4) read
+    # -1128 when phi carried 1e-15 of absolute rounding)
+    want = k_reference(t)
+    assert abs(dens.k_at_barrier(t) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("t", [-1.0, -2.0, -5.2, -12.0, -20.0])
+def test_phi_left_tail_relative_to_the_residue_reference(t):
+    want = phi_residue_reference(t)
+    assert abs(phi(t) - want) <= 1e-13 * want
+
+
+def _band_edges():
+    """Adjacent doubles (below, at) each edge where phi changes route: t = -1
+    and the k rule's band edges t^{3/2} = b, b = 1..34, up to t = 10.5."""
+    pairs = [(np.nextafter(-1.0, -2.0), -1.0)]
+    for b in range(1, 35):
+        hi = b ** (2.0 / 3.0)
+        while np.floor(np.float64(hi) ** 1.5) < b:
+            hi = np.nextafter(hi, 11.0)
+        lo = np.nextafter(hi, 0.0)
+        assert np.floor(np.float64(lo) ** 1.5) == b - 1
+        pairs.append((lo, hi))
+    return np.array(pairs)
+
+
+def test_phi_is_continuous_across_its_route_and_band_edges():
+    # the jump of phi includes its own change over one ulp, 2 t^2 ulp(t);
+    # phi is subnormal past about t = 10.2, so there only k(t, 0) is
+    # compared, which the rule computes before the factor e^{-(2/3) t^3}
+    pairs = _band_edges()
+    below, above = phi(pairs[:, 0]), phi(pairs[:, 1])
+    normal = below > 1e-300
+    assert normal[:-2].all()
+    assert np.abs(above[normal] / below[normal] - 1.0).max() <= 1e-12
+    for lo, hi in pairs[1:]:
+        assert abs(dens.k_at_barrier(hi) / dens.k_at_barrier(lo) - 1.0) <= 1e-12
+
+
+def test_joint_density_one_sided_is_positive_in_the_right_tail():
+    assert joint_density_one_sided(4.0, 0.3, StartState(0.0, 0.0)) > 0.0
+
+
+def test_max_density_one_sided_far_right_start():
+    start = time.perf_counter()
+    value = max_density_one_sided(0.3, StartState(3.2, 0.0))
+    assert time.perf_counter() - start < 1.0
+    assert math.isfinite(value) and value > 0.0
+
+
+@pytest.mark.parametrize("s", [3.2, 4.0])
+def test_max_density_at_the_barrier_limit_far_right(s):
+    k = dens.k_at_barrier(s)
+    assert abs(max_density_one_sided(1e-9, StartState(s, 0.0)) - k) <= 1e-7 * k
 
 
 def test_k_at_barrier_matches_hitting_derivative():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from chernoff import airy, verify
+from chernoff import densities as dens
 from chernoff.quadrature import QuadratureSpec, airy_ratio_tail_bound
 from chernoff.verify import CheckReport, run_all, summarize, to_ndjson
 
@@ -64,6 +65,26 @@ def test_psi_phi_and_laplace_names_present():
     assert any(n.startswith("survival_limit") for n in names)
     assert "moment_relation" in names
     assert all(r.passed for r in reports), summarize(reports)
+
+
+def test_log_concavity_check_passes_and_catches_tail_defects(monkeypatch):
+    def log_concavity():
+        reports = verify.check_chernoff_density(profile=0.01)
+        return next(r for r in reports if r.name == "chernoff_log_concavity")
+
+    r = log_concavity()
+    assert r.passed and r.computed == 0.0 and r.tol == 0.0
+    f_z = dens.chernoff_density
+    # a 20 % step up past t = 3.85, against a curvature of about -0.04 per
+    # step there, and a tail that underflows to 0
+    monkeypatch.setattr(dens, "chernoff_density",
+                        lambda t: f_z(t) * (1.0 + 0.2 * (np.asarray(t) > 3.85)))
+    r = log_concavity()
+    assert not r.passed and 0.1 < r.computed < math.log(1.2)
+    monkeypatch.setattr(dens, "chernoff_density",
+                        lambda t: np.where(np.abs(t) < 7.0, f_z(t), 0.0))
+    r = log_concavity()
+    assert not r.passed and r.computed == math.inf
 
 
 def test_pde_suite_orders():
