@@ -2,10 +2,11 @@
 the zeros of Ai.
 
 Plain Ai and Ai' come from ``scipy.special.airy`` (the AMOS routines,
-Amos 1986, ACM TOMS Alg. 644); the residue series over the Airy zeros reads
-them on the real axis.  Every contour integrand in the package is built
-from the log-scaled ``log_ai_many`` and ``log_ai_diff``, which split the
-plane at ``|z| = SWITCH_RADIUS`` (= 8):
+Amos 1986, ACM TOMS Alg. 644); the residue series reads Ai through
+``ai_real``, which leaves AMOS for the Poincare sums below x = -8.  Every
+contour integrand in the package is built from the log-scaled
+``log_ai_many`` and ``log_ai_diff``, which split the plane at
+``|z| = SWITCH_RADIUS`` (= 8):
 
 * ``|z| < 8`` -- Ai alone from DLMF 9.6.1,
   ``Ai(z) = sqrt(z/3) K_{1/3}(zeta) / pi``, through the scaled
@@ -38,6 +39,7 @@ from .quadrature import gauss_legendre_panels
 __all__ = [
     "AiryOverflowError",
     "SWITCH_RADIUS",
+    "ai_real",
     "log_ai_many",
     "log_ai_diff",
     "scorer_hi",
@@ -122,6 +124,21 @@ def _asy_log_ai(w: np.ndarray) -> np.ndarray:
     sq = np.sqrt(w)
     zeta = (2.0 / 3.0) * w * sq
     return -zeta - 0.25 * np.log(w) - _LOG_2SQRTPI + np.log(_asy_sums(zeta))
+
+
+def ai_real(x) -> np.ndarray:
+    """Ai on the real axis, elementwise: AMOS for x >= -SWITCH_RADIUS; below,
+    DLMF 9.7.9 as Ai(-y) = pi^{-1/2} y^{-1/4} Re[e^{-i(zeta - pi/4)} S0(i zeta)],
+    zeta = (2/3) y^{3/2}."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty(x.shape)
+    low = x < -SWITCH_RADIUS
+    out[~low] = scipy.special.airy(x[~low])[0]
+    y = -x[low]
+    zeta = (2.0 / 3.0) * y * np.sqrt(y)
+    rot = np.exp(-1j * (zeta - 0.25 * math.pi)) * _asy_sums(1j * zeta)
+    out[low] = rot.real / (math.sqrt(math.pi) * y ** 0.25)
+    return out
 
 
 # ----------------------------------------------------------------------------

@@ -151,7 +151,7 @@ def _residue_data():
 def _h_residue(a_arr, ts: np.ndarray) -> np.ndarray:
     """Residue (spectral) series, (shifts, times); accurate for t >= ~0.8."""
     zeros, aip = _residue_data()
-    num = scipy.special.airy(zeros[None, :] + np.atleast_1d(a_arr)[:, None])[0]
+    num = airy.ai_real(zeros[None, :] + np.atleast_1d(a_arr)[:, None])
     terms = (TWO13 * num / aip)[:, None, :] * np.exp(TWO13 * np.outer(ts, zeros))
     return terms.sum(axis=-1)  # per entry, so no entry depends on the grid
 
@@ -237,7 +237,7 @@ def _passage_horizon(s: float, x: float, shift: float, target: float,
     ``weighted`` bounds that density times the barrier factor
     k(s + tau, 0) <= 5 max(1, s + tau) instead."""
     zeros, aip = _residue_data()
-    lead = TWO13 * abs(float(scipy.special.airy(zeros[0] + shift)[0] / aip[0]))
+    lead = TWO13 * abs(float(airy.ai_real(zeros[0] + shift) / aip[0]))
     hbar = 2.0 * (1.0 + lead)
 
     def decay(T):

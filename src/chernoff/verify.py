@@ -129,7 +129,8 @@ def check_connection_suite(n: int = 1000, profile: float = 1.0) -> CheckReport:
 
 def check_regime_continuity(profile: float = 1.0) -> CheckReport:
     """The asymptotic branch of ``log_ai_many`` agrees with AMOS's Ai
-    (``scipy.special.airy``) just outside the switch radius."""
+    (``scipy.special.airy``) just outside the switch radius, and ``ai_real``
+    on both sides of x = -8, relative to the envelope |x|^{-1/4}."""
     t0 = time.perf_counter()
     worst = 0.0
     for ph in (0.0, 0.7, math.pi / 2.0, 2.2, math.pi):
@@ -137,6 +138,9 @@ def check_regime_continuity(profile: float = 1.0) -> CheckReport:
         amos = scipy.special.airy(z)[0]
         asy = np.exp(airy.log_ai_many(z)[0])
         worst = max(worst, abs(amos - asy) / abs(amos))
+    for x in (-airy.SWITCH_RADIUS - 1e-6, -airy.SWITCH_RADIUS + 1e-6):
+        gap = abs(float(airy.ai_real(x)) - scipy.special.airy(x)[0])
+        worst = max(worst, gap * abs(x) ** 0.25)
     return CheckReport.build("airy_regime_continuity", 0.0, worst,
                              _scaled(1e-10, profile), t0)
 
@@ -331,7 +335,10 @@ def check_chernoff_density(profile: float = 1.0) -> list[CheckReport]:
     """Symmetry of f_Z, its unit trapezoid mass on [-3, 3] at step 0.01, and
     its log-concavity (Balabdaoui & Wellner, Bernoulli 2014): the largest
     positive second difference of log f_Z on [-8, 8] at step 0.05 (0 if
-    none), which must be 0; a zero or non-finite f_Z there reads inf."""
+    none), which must be 0; a zero or non-finite f_Z there reads inf.  And
+    k's right tail by Laplace's method, k(t, 0)/(4t) = 1 + 1/(8t^3) - 1/(8t^6)
+    + 175/(512t^9) - 395/(256t^12) ...: the worst |8t^3(k/(4t) - 1) - 1 +
+    1/t^3 - 175/(64t^6)| on t = 6, 8, 10 (1.2e-6 at t = 6, the next term)."""
     out = []
     t0 = time.perf_counter()
     gap = abs(dens.chernoff_density(0.7) - dens.chernoff_density(-0.7))
@@ -348,6 +355,12 @@ def check_chernoff_density(profile: float = 1.0) -> list[CheckReport]:
     worst = max(0.0, float(d2.max())) if np.all(np.isfinite(d2)) else math.inf
     out.append(CheckReport.build("chernoff_log_concavity", 0.0, worst,
                                  _scaled(0.0, profile), t0))
+    t0 = time.perf_counter()
+    ts = np.array([6.0, 8.0, 10.0])
+    lead = 8.0 * ts ** 3 * (dens._k_rule(ts) / (4.0 * ts) - 1.0)
+    worst = float(np.abs(lead - 1.0 + ts ** -3 - (175.0 / 64.0) * ts ** -6).max())
+    out.append(CheckReport.build("k_barrier_asymptote", 0.0, worst,
+                                 _scaled(1e-2, profile), t0))
     return out
 
 

@@ -350,3 +350,31 @@ def test_log_ai_sector_route_against_mpmath(monkeypatch):
     assert np.isfinite(at0) and sum(amos) == 1
     assert at0 == pytest.approx(math.log(3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)),
                                 abs=1e-15)
+
+
+def test_ai_real_against_mpmath_below_the_switch():
+    # absolute error against the envelope |x|^{-1/4} of the oscillation;
+    # AMOS itself reads about 2e-14 on these points
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(1808)
+    x = np.concatenate([rng.uniform(-60.0, -8.0, 300), rng.uniform(-12.0, -8.0, 100)])
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.airyai(mpmath.mpf(float(v)))) for v in x])
+    err = np.abs(airy.ai_real(x) - ref) * np.abs(x) ** 0.25
+    assert float(err.max()) <= 1e-13
+
+
+def test_ai_real_is_amos_from_the_switch_up():
+    x = np.concatenate([[-airy.SWITCH_RADIUS, -7.999999, -1.0, 0.0],
+                        np.linspace(-8.0, 30.0, 501)])
+    assert airy.ai_real(x).tobytes() == scipy.special.airy(x)[0].tobytes()
+
+
+def test_ai_real_point_alone_equals_its_value_in_a_mixed_batch():
+    rng = np.random.default_rng(1809)
+    x = np.concatenate([rng.uniform(-60.0, 10.0, 400), [-8.0, -8.0 - 1e-12]])
+    batch = airy.ai_real(x)
+    grid = airy.ai_real(x[:400].reshape(20, 20))
+    assert grid.shape == (20, 20) and np.array_equal(grid.ravel(), batch[:400])
+    for i in range(x.size):
+        assert airy.ai_real(x[i]).tobytes() == batch[i:i + 1].tobytes()

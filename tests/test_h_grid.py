@@ -2,8 +2,10 @@
 residue route against a high-precision reference."""
 
 import numpy as np
+import scipy.special
 from hypothesis import given, settings, strategies as st
 
+from chernoff import airy
 from chernoff import densities as dens
 
 _SHIFTS = st.lists(st.floats(0.0, 12.0), min_size=1, max_size=4)
@@ -47,3 +49,25 @@ _RES_H = np.array([
 def test_residue_route_against_mpmath_residue_sum():
     grid = dens._h_grid(-dens.FOUR13 * _RES_X, _RES_T)
     np.testing.assert_allclose(grid, _RES_H, rtol=5e-15, atol=0.0)
+
+
+def test_residue_numerators_send_no_point_below_the_switch_to_amos(monkeypatch):
+    # residue numerators below x = -8 come from ai_real's Poincare sums;
+    # the cached zeros and their Ai' stay on AMOS, so the caches fill first
+    levels = np.arange(1, 11) * 0.2
+    ops = (lambda: dens.psi(1.3), lambda: dens._joint_two_sided_row(1.5, levels))
+    for op in ops:
+        op()
+    real_airy = scipy.special.airy
+    below = []
+
+    def counted(z):
+        z = np.asarray(z)
+        if not np.iscomplexobj(z):
+            below.append(int((z < -airy.SWITCH_RADIUS).sum()))
+        return real_airy(z)
+
+    monkeypatch.setattr(scipy.special, "airy", counted)
+    for op in ops:
+        op()
+    assert below and sum(below) == 0

@@ -183,3 +183,24 @@ def test_incomplete_scorer_ode_check_passes_strict_and_rejects_a_perturbation(
     monkeypatch.setattr(verify.airy, "incomplete_hi",
                         lambda z, s: inc(z, s) * (1.0 + 1e-6))
     assert not any(r.passed for r in verify.check_incomplete_scorer_ode())
+
+
+def test_regime_continuity_covers_the_real_axis_switch(monkeypatch):
+    assert verify.check_regime_continuity(profile=0.01).passed
+    ai_real = airy.ai_real
+    monkeypatch.setattr(airy, "ai_real",
+                        lambda x: np.where(np.asarray(x) < -airy.SWITCH_RADIUS,
+                                           ai_real(x) * (1.0 + 1e-8), ai_real(x)))
+    assert not verify.check_regime_continuity().passed
+
+
+def test_k_barrier_asymptote_passes_strict_and_rejects_a_scaled_k(monkeypatch):
+    def asymptote(profile=1.0):
+        reports = verify.check_chernoff_density(profile=profile)
+        return next(r for r in reports if r.name == "k_barrier_asymptote")
+
+    r = asymptote(0.01)
+    assert r.passed and r.tol == pytest.approx(1e-4) and r.computed < 2e-6
+    k_rule = dens._k_rule
+    monkeypatch.setattr(dens, "_k_rule", lambda t: k_rule(t) * (1.0 + 1e-5))
+    assert not asymptote().passed
