@@ -26,7 +26,8 @@ oracles as a slow reference, not here.
 
 ``phi`` is the residue series over the Airy zeros below t = -1, and
 e^{-(2/3) t^3} k(t, 0) from there on, with k a trapezoid sum on a saddle line
-per band of t; nothing caches it.  ``g`` has one rule, cached at s = 0.
+per band of t; nothing caches it.  ``g`` has one rule, a fixed Kronrod sum
+on quarter-period u panels under Gauss blocks in y, cached at s = 0.
 """
 
 from __future__ import annotations
@@ -299,17 +300,19 @@ def _y_cap(s: float) -> float:
 _Y_NODES = 10
 _G0_Y_NODES = 24
 _G_SPEC = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9)
-# (y, u) entries per log_ai_diff call of the g rule: the g(0, .) model's
-# 116,280 entries go in two calls, so its build allocates 16 MB at its
-# peak instead of 32 MB
+# (y, u) entries per log_ai_diff call of the g rule, in whole y blocks: the
+# g(0, .) model's 61,200 entries go in one call (a 17 MB peak), p(-3)'s
+# 1.2 M in 27 calls of at most 44,400
 _G_CHUNK = 1 << 16
 
 
 def _g_rule(s: float, A: float, nodes: int):
     """The one rule for g(s, .) to barrier width A.  The inner integral
     f(y) = (1/2pi) int exp(-2^{1/3} s (iu+y)) Ai(iu+y) / Ai(iu)^2 du is 2 Re
-    of its Hermitian integrand over the engine's first-pass Kronrod panels on
-    (0, U], taken at `nodes` Gauss nodes in each y block [k, min(k + 1, A)].
+    of its Hermitian integrand over Kronrod 15 panels on (0, U], each a
+    quarter period of the tilt factor e^{-i 2^{1/3} s u} wide,
+    pi / (2 max(1, 2^{1/3} |s|)), taken at `nodes` Gauss nodes in each y
+    block [k, min(k + 1, A)].
     Returns the block edges, f at the nodes (nodes, blocks), and the
     integral to A, whose err_estimate is the panels' Kronrod 15 - Gauss 7
     differences integrated in y plus the tail bound; an estimate past abs
@@ -320,7 +323,8 @@ def _g_rule(s: float, A: float, nodes: int):
     grow = math.exp(tilt) * max(A, 1.0)
     U, tail = truncation(lambda U: grow * airy_ratio_tail_bound(U) / (2.0 * math.pi),
                          _G_SPEC.abs_tol / 2.0)
-    edges = panel_edges(0.0, U, TWO13 * abs(s), _G_SPEC)
+    edges = panel_edges(0.0, U, math.pi / (2.0 * max(1.0, TWO13 * abs(s))),
+                        _G_SPEC)
     yg, wg = np.polynomial.legendre.leggauss(nodes)
     y_edges = np.minimum(np.arange(math.ceil(A) + 1.0), A)
     half = 0.5 * np.diff(y_edges)

@@ -18,12 +18,17 @@ crossing test, up to the first endpoint at or above it).  The two sides of
 a two-sided path share one record: each slab draws both sides' coarse
 grids, raises the record with them, then refines each side against it, so
 a side interval that cannot reach the global record cannot hold the argmax.
-After each slab a side retires once it can no longer matter: its barrier
-passed, if tracked, and, if the max is tracked, ``4 T (record - x_T) > 48``
-at the slab's end time ``T > 0``, since from ``x_T`` the rest of the path
-rises ``sup_u B(u) - 2 T u - u^2 > d`` with probability at most
-``e^{-4 T d}``, the same ``e^-48`` tail.  Splits and retirement read grid
-values alone, so ``bridge_correction`` on and off see the same fine path.
+After each slab a side retires once it can no longer matter: if the
+barrier is tracked, once it is passed or ``4 T (-x_T) > 45`` (out of reach
+up to the crossing test's ``e^-45``), and, if the max is tracked, once
+``4 T (record - x_T) > 48``, all at the slab's end time ``T > 0``: from
+``x_T`` the rest of the path rises ``sup_u B(u) - 2 T u - u^2 > d`` with
+probability at most ``e^{-4 T d}``.  Driftless runs retire a side at its
+barrier only.  Splits and retirement read grid values alone, so
+``bridge_correction`` on and off see the same fine path.  The out-of-reach
+rule for the barrier draws fewer normals, so hitting and one-sided runs
+differ bit for bit, not in law, from an engine that draws every path that
+has not hit to the horizon.
 
 Randomness is counter-based: every (purpose, side, chunk) triple owns a
 Philox substream keyed by the seed, drawn in a fixed order, so results are
@@ -78,8 +83,8 @@ class McConfig:
     def __post_init__(self):
         if self.n_paths <= 0 or self.chunk_paths <= 0:
             raise ValueError("path counts must be positive")
-        if not (self.dt > 0.0 and self.t_max > 0.0):
-            raise ValueError("dt and t_max must be positive")
+        if not (0.0 < self.dt < math.inf and 0.0 < self.t_max < math.inf):
+            raise ValueError("dt and t_max must be positive and finite")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         if self.n_steps < 1:
@@ -320,15 +325,16 @@ def _one_sided_chunk(cfg: McConfig, chunk: int, n: int, *, s0: float,
                     B[0], B[2] = X[r, c], X[r, c + 1]
                     refine(k, idx[r], done + _K * c, B, int(nn), hit_fill[r, c])
 
-        # retire a side once its barrier is passed (if tracked) and the
-        # record is out of its reach (if tracked): from x_T at time T > 0,
-        # sup_u B(u) - 2 T u - u^2 passes d with probability e^{-4 T d}
+        # retire a side once its barrier is passed or out of reach (if
+        # tracked) and the record is out of its reach (if tracked): from x_T
+        # at time T > 0, sup_u B(u) - 2 T u - u^2 passes d with probability
+        # e^{-4 T d}
         T = tg[-1]
         for k, (idx, X) in enumerate(zip(alive, Xs)):
             x_T = X[:, -1]
             out = np.ones(idx.size, dtype=bool)
             if track_hit:
-                out &= ~barrier_open[idx]
+                out &= ~barrier_open[idx] | (parabola & (-4.0 * T * x_T > 45.0))
             if track_max:
                 out &= parabola & (4.0 * T * (rec[idx] - x_T) > 48.0)
             alive[k], x_last[k] = idx[~out], x_T[~out]

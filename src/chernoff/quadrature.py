@@ -7,7 +7,9 @@ single vectorized integrand call, bisection of panels whose embedded error
 estimate exceeds their share of the tolerance, and an optional bound for
 the part of the domain left out.  An infinite domain is cut at the U that
 `truncation` solves from a decay bound; a Hermitian integrand is folded
-onto u > 0 by its caller.
+onto u > 0 by its caller.  `panel_edges` lays out the equal first-pass
+panels, and the fixed g rule's, and refuses more than the subdivision
+budget before any evaluation.
 
 Integrands must accept a float64 ndarray and return a complex (or float)
 ndarray of the same shape.  Results are bit-reproducible: panel processing
@@ -130,13 +132,12 @@ def truncation(decay: Callable[[float], float], target: float,
     return b, decay(b)
 
 
-def panel_edges(a: float, b: float, frequency: float,
+def panel_edges(a: float, b: float, width: float,
                 spec: QuadratureSpec) -> np.ndarray:
-    """First-pass panel edges on [a, b]: at least 4 panels, each at most
-    min(2, pi/(4 max(1, |frequency|))) wide, so oscillatory factors stay
-    resolved; more of them than the subdivision budget is a budget error."""
-    cap = min(2.0, math.pi / (4.0 * max(1.0, abs(frequency))))
-    n = (b - a) / cap if cap > 0.0 else math.inf
+    """Equal panel edges on [a, b]: at least 4 panels, each at most
+    ``width`` wide; more of them than the subdivision budget is a budget
+    error."""
+    n = (b - a) / width if width > 0.0 else math.inf
     if not n <= spec.max_subdivisions:
         # more oscillation panels than the subdivision budget, all of them
         # allocated and evaluated before the first error estimate
@@ -161,11 +162,12 @@ def integrate_interval(f, a: float, b: float, spec: QuadratureSpec | None = None
     part of the domain left out| (0 for a finite domain).  It counts
     against the tolerance and is added to the error estimate; once it
     alone leaves the tolerance out of reach, the call raises a budget error
-    instead of refining.  ``frequency`` caps the panel widths (see
-    `panel_edges`).
+    instead of refining.  ``frequency`` caps the first-pass panel widths at
+    pi/(4 max(1, |frequency|)), an eighth of the period of e^{i frequency u},
+    so oscillatory factors stay resolved.
     """
     spec = spec or QuadratureSpec()
-    edges = panel_edges(a, b, frequency, spec)
+    edges = panel_edges(a, b, math.pi / (4.0 * max(1.0, abs(frequency))), spec)
     lefts, rights = edges[:-1], edges[1:]
     evals = 0
 

@@ -303,6 +303,8 @@ def test_tabulate_far_start_level_reads_zero(tmp_path, which):
     ("tabulate", "--which", "joint2", "--from", "0", "--to", "0.5", "--step", "1"),
     ("tabulate", "--which", "joint2", "--from", "0", "--to", "1", "--step", "0.5",
      "--a-from", "0.5", "--a-to", "1", "--a-step", "1"),
+    # a non-finite horizon, like a non-finite --dt
+    ("simulate", "--what", "argmax", "--paths", "100", "--tmax", "inf"),
 ])
 def test_domain_errors_are_one_line_usage_errors(argv):
     r = run_proc(*argv)

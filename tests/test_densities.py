@@ -254,11 +254,11 @@ def test_tilted_g_within_its_error_estimate_of_the_reference(s):
         assert abs(got.value - ref.value.real) <= got.err_estimate
 
 
-@pytest.mark.parametrize("s, A", [(-8.0, None), (200.0, 1.0)])
+@pytest.mark.parametrize("s, A", [(-8.0, None), (400.0, 1.0)])
 def test_tilted_g_past_its_reach_raises(s, A):
     # s = -8: exp(2^{1/3} 8 A) overflows at A = _y_cap(-8), so no tail bound
-    # holds; s = 200: more u panels than the budget.  Both raise before any
-    # Airy evaluation.
+    # holds; s = 400: more quarter-period u panels than the budget (from
+    # about s = 370 at A = 1).  Both raise before any Airy evaluation.
     with pytest.raises(QuadratureBudgetError) as info:
         tilted_g(s, A)
     assert info.value.result.evaluations == 0
@@ -309,12 +309,30 @@ def test_tilted_g_inner_y_rule_has_converged(s, monkeypatch):
             assert abs(g - other) <= 1e-13 * max(1.0, abs(g))
 
 
+@pytest.mark.parametrize("s", [-4.0, -2.0, -0.73, 0.0, 0.37, 0.5, 2.0, 4.0])
+def test_tilted_g_u_panels_have_converged(s, monkeypatch):
+    # the g rule's quarter-period u panels against panels half as wide (an
+    # eighth of the tilt period, the adaptive engine's first pass) on the
+    # y-rule test's widths: the wider panels lose nothing at the scale of
+    # double rounding
+    widths = (0.05, 0.4, 1.6, 4.0, 9.0, None)  # None: the _y_cap limit
+    if abs(s) == 4.0:
+        widths = widths[:3]
+    shipped = [tilted_g(s, A).value.real for A in widths]
+    edges = dens.panel_edges
+    monkeypatch.setattr(dens, "panel_edges",
+                        lambda a, b, width, spec: edges(a, b, 0.5 * width, spec))
+    for A, g in zip(widths, shipped):
+        assert abs(g - tilted_g(s, A).value.real) <= 1e-14 * max(1.0, abs(g))
+
+
 def test_tilted_g_airy_point_budget(monkeypatch):
-    # p(0.5) takes 285 u nodes; at 10 y nodes per unit block its 19 blocks
-    # send 285 x 190 = 54,150 points to log_ai_diff.
-    # The survival calls at s = +-1 take 23 and 24 u panels over 1 and 2 y
-    # blocks, and the g(0, .) build once took 130,560 points on its own u
-    # grid.
+    # p(0.5) takes 150 u nodes on quarter-period panels; at 10 y nodes per
+    # unit block its 19 blocks send 150 x 190 = 28,500 points to
+    # log_ai_diff.  The survival calls at s = +-1 take 12 u panels over 1
+    # and 2 y blocks, and the g(0, .) build 150 u nodes x 17 blocks of 24
+    # y nodes = 61,200 points.  Eighth-period panels take about twice as
+    # many.
     count = [0]
     log_ai_diff = airy.log_ai_diff
 
@@ -328,19 +346,19 @@ def test_tilted_g_airy_point_budget(monkeypatch):
         return count[0]
 
     monkeypatch.setattr(airy, "log_ai_diff", counted)
-    assert 0 < points(tilted_g, 0.5, None) <= 54_150
+    assert 0 < points(tilted_g, 0.5, None) <= 28_500
     for s in (-1.0, 1.0):
-        assert 0 < points(survival_prob, StartState(s, -0.25)) <= 3_450
-        assert 0 < points(survival_prob, StartState(s, -1.0)) <= 7_200
+        assert 0 < points(survival_prob, StartState(s, -0.25)) <= 1_800
+        assert 0 < points(survival_prob, StartState(s, -1.0)) <= 3_600
     dens._g0_interp.cache_clear()
     try:
-        assert 0 < points(dens._g0_interp) <= 130_560
+        assert 0 < points(dens._g0_interp) <= 61_200
     finally:
         dens._g0_interp.cache_clear()
 
 
 def test_g_rule_chunks_change_memory_not_values(monkeypatch):
-    # p(-3) is 53 y blocks x 10 nodes x 4,425 u nodes = 2.3 M (y, u)
+    # p(-3) is 53 y blocks x 10 nodes x 2,220 u nodes = 1.2 M (y, u)
     # entries; in calls of whole y blocks it is the same rule bit for bit,
     # and its peak memory does not grow with the entry count
     tracemalloc.start()
@@ -351,7 +369,7 @@ def test_g_rule_chunks_change_memory_not_values(monkeypatch):
         tracemalloc.stop()
     assert peak < 200 * 2 ** 20
     assert res.value == pytest.approx(math.exp(2.0 * 27.0 / 3.0), rel=1e-9)
-    # the g(0, .) model's 116,280 entries take two calls (16 MB; one took 32)
+    # the g(0, .) model's 61,200 entries fit in one call (about 17 MB)
     tracemalloc.start()
     try:
         dens._g_rule(0.0, dens.FOUR13 * dens._G0_DOMAIN, dens._G0_Y_NODES)

@@ -192,6 +192,11 @@ def test_config_validation():
         McConfig(n_paths=10, threads=0)
     with pytest.raises(ValueError):  # t_max / dt rounds to zero steps
         McConfig(n_paths=10, dt=1.0, t_max=0.4)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            McConfig(n_paths=10, dt=bad)
+        with pytest.raises(ValueError):
+            McConfig(n_paths=10, t_max=bad)
 
 
 def _on_grid(t, dt, s0=0.0):
@@ -327,6 +332,27 @@ def test_pure_bm_passage_retires_hit_paths_each_slab(normals_drawn):
     # must bring them under 2.2 M
     n = normals_drawn(lambda: mcsim.simulate_pure_bm_passage(1.0, BENCH_CFG))
     assert n <= 2.2e6
+
+
+def test_hitting_retires_paths_whose_barrier_is_out_of_reach(normals_drawn):
+    # from (0, -1) about 85 % of 8192 paths never hit; drawn to the horizon
+    # they take 1.24 M normals, retired once 4 T (-x_T) > 45 they take 0.92 M
+    n = normals_drawn(
+        lambda: estimate_hitting_prob(StartState(0.0, -1.0), BENCH_CFG))
+    assert n <= 1.0e6
+
+
+def test_one_sided_runs_do_not_depend_on_the_thread_count():
+    # three chunks, hit and max tracked: retirement reads each chunk's own
+    # grid values, so the samples agree bit for bit
+    cfg = McConfig(n_paths=20000, dt=2e-3, t_max=4.0, seed=13, threads=2)
+    a = mcsim.simulate_one_sided(StartState(0.0, -1.0), cfg)
+    b = mcsim.simulate_one_sided(StartState(0.0, -1.0), replace(cfg, threads=1))
+    for x, y in ((a.max, b.max), (a.argmax, b.argmax), (a.hit_time, b.hit_time)):
+        assert np.array_equal(x, y, equal_nan=True)
+    hits = estimate_hitting_prob(StartState(0.0, -1.0), cfg)
+    assert hits == estimate_hitting_prob(StartState(0.0, -1.0),
+                                         replace(cfg, threads=1))
 
 
 def test_shared_record_agrees_with_per_side_runs_in_law():
