@@ -136,9 +136,7 @@ def cmd_tabulate(args) -> int:
 
 def cmd_verify(args) -> int:
     profile = "strict" if args.strict else "default"
-    suites = {"all": ("airy", "identities", "pde"),
-              "airy": ("airy",), "identities": ("identities",),
-              "pde": ("pde",), "mc": ()}[args.suite]
+    suites = {"all": tuple(verify.SUITES), "mc": ()}.get(args.suite, (args.suite,))
     cfg = None
     if args.suite in ("all", "mc"):
         cfg = _checked(mcsim.McConfig, n_paths=args.paths, dt=5e-4, t_max=4.0,
@@ -177,7 +175,7 @@ def cmd_simulate(args) -> int:
         vals = sample.argmax if args.what == "argmax" else sample.max
         text = _fmt_rows("value", ((v,) for v in vals))
     else:  # purebm
-        _require(args.z > 0.0, "simulate --what purebm needs --z > 0")
+        _require(0.0 < args.z < math.inf, "simulate --what purebm needs a finite --z > 0")
         hist = mcsim.simulate_pure_bm_passage(args.z, cfg)
         text = _fmt_rows("value,count",
                          zip(hist.edges[:-1], hist.counts.astype(float)))
@@ -207,9 +205,11 @@ def cmd_compare(args) -> int:
               % (st.s, st.x, rep.target, rep.computed, se,
                  (rep.computed - rep.target) / se, "OK" if ok else "FAIL"))
     else:  # max: one-sided from (0, 0), histogram bins around the a grid
+        width = args.bin_width
+        # the bin around a = 0.2 must stay above the start level 0
+        _require(0.0 < width < 0.4, "compare --target max needs 0 < --bin-width < 0.4")
         st = StartState(0.0, 0.0)
         sample = mcsim.simulate_one_sided(st, cfg)
-        width = args.bin_width
         for a in (0.2, 0.5, 1.0):
             lo, hi = a - width / 2.0, a + width / 2.0
             p_hat = float(np.mean((sample.max >= lo) & (sample.max < hi)))
@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the verification checks")
     v.add_argument("--suite", default="all",
-                   choices=["all", "airy", "identities", "pde", "mc"])
+                   choices=["all", *verify.SUITES, "mc"])
     v.add_argument("--strict", action="store_true",
                    help="divide every tolerance by 100")
     v.add_argument("--paths", type=int, default=100000)

@@ -5,30 +5,35 @@ subtracted analytically, so the only biases are grid monitoring of extremes
 and crossings, and the finite horizon.  At each ``dt`` leaf the monitoring
 is exact: a crossing is sampled from the Brownian-bridge probability
 ``exp(-2 d1 d2 / dt)``, the maximum from the bridge-maximum law (Rayleigh
-inversion) and the argmax from the bridge's argmax law given that maximum.
+inversion) and, when the leaf takes the path's record, the argmax from the
+bridge's argmax law given that maximum.
 
 Normals are spent only where the path can matter.  Each path is drawn in
 time slabs of ``_SLAB`` = 32 coarse steps of ``_K`` = 64 ``dt`` each (2048
-``dt``; the horizon's last interval may be shorter).  An interval of length
-``L`` is split at its midpoint, with one normal for the pinned bridge plus
-the rise of ``-t^2`` above its chord (Levy-Ciesielski), only while it can
-still reach the record (an endpoint within ``sqrt(24 L) + L^2 / 4`` of the
-highest grid value: an ``e^-48`` tail) or the barrier (the ``e^-45``
-crossing test, up to the first endpoint at or above it).  The two sides of
-a two-sided path share one record: each slab draws both sides' coarse
-grids, raises the record with them, then refines each side against it, so
-a side interval that cannot reach the global record cannot hold the argmax.
-After each slab a side retires once it can no longer matter: if the
-barrier is tracked, once it is passed or ``4 T (-x_T) > 45`` (out of reach
-up to the crossing test's ``e^-45``), and, if the max is tracked, once
+``dt``); the horizon's remainder of fewer than 64 steps is laid out as
+power-of-two intervals, largest first (53 = 32 + 16 + 4 + 1), so every
+split is even.  An interval of length ``L`` is split at its midpoint, with
+one normal for the pinned bridge plus the rise of ``-t^2`` above its chord
+(Levy-Ciesielski), only while it can still reach the record (an endpoint
+within ``sqrt(24 L) + L^2 / 4`` of the highest grid value: an ``e^-48``
+tail) or the barrier (the ``e^-45`` crossing test, up to the first endpoint
+at or above it).  The two sides of a two-sided path share one record: each
+slab draws both sides' coarse grids, raises the record with them, then
+refines each side against it, so a side interval that cannot reach the
+global record cannot hold the argmax.  After each slab a side retires once
+it can no longer matter: if the barrier is tracked, once a grid value at or
+above it has been reached or ``4 T (-x_T) > 45`` (out of reach up to the
+crossing test's ``e^-45``), and, if the max is tracked, once
 ``4 T (record - x_T) > 48``, all at the slab's end time ``T > 0``: from
 ``x_T`` the rest of the path rises ``sup_u B(u) - 2 T u - u^2 > d`` with
 probability at most ``e^{-4 T d}``.  Driftless runs retire a side at its
 barrier only.  Splits and retirement read grid values alone, so
-``bridge_correction`` on and off see the same fine path.  The out-of-reach
-rule for the barrier draws fewer normals, so hitting and one-sided runs
-differ bit for bit, not in law, from an engine that draws every path that
-has not hit to the horizon.
+``bridge_correction`` on and off see the same fine path.
+
+Retirement, and drawing a leaf's argmax as soon as it takes the record
+(from the stream of the leaf maxima), change which ``brg`` and ``inc``
+draws serve which path, so samples differ bit for bit, not in law, from an
+engine that draws every path to the horizon and the argmax last.
 
 Randomness is counter-based: every (purpose, side, chunk) triple owns a
 Philox substream keyed by the seed, drawn in a fixed order, so results are
@@ -65,6 +70,8 @@ _K = 64             # fine steps per coarse interval
 _FILL_SLAB = 1 << 19  # fine steps per batch of refined coarse intervals
 _LOG_FLOOR = 1e-300
 TWO_SIDED_T_MIN = 4.0  # shortest horizon of a two-sided run
+PUREBM_BIN = 0.1       # bin width of the pure-BM passage histogram
+PUREBM_UPPER = 5.0     # its last edge, and the shortest horizon of its runs
 
 
 @dataclass(frozen=True)
@@ -170,6 +177,15 @@ def _leaf_argmax(gen: np.random.Generator, al, be, h: float):
     return np.where(ok, np.clip(tau, 0.0, h), np.where(al > tiny, h, 0.0))
 
 
+def _coarse_ends(n_steps: int) -> np.ndarray:
+    """Fine indices of the coarse grid: intervals of ``_K`` steps, then the
+    remainder as power-of-two intervals, largest first, so splits are even."""
+    n_full, rest = divmod(n_steps, _K)
+    tail = [1 << j for j in reversed(range(rest.bit_length())) if rest >> j & 1]
+    return np.concatenate([_K * np.arange(n_full + 1),
+                           _K * n_full + np.cumsum(tail, dtype=int)])
+
+
 def _one_sided_chunk(cfg: McConfig, chunk: int, n: int, *, s0: float,
                      x0: float, sides: tuple[int, ...], parabola: bool,
                      track_max: bool, track_hit: bool):
@@ -180,9 +196,8 @@ def _one_sided_chunk(cfg: McConfig, chunk: int, n: int, *, s0: float,
     Paths are drawn on a coarse grid of ``_K`` steps, refined where they
     can still matter and retired once they cannot (module docstring).
     Returns (max, argmax, hit_time) arrays of length n: the max over all
-    sides, the argmax on the winning side, and NaN hit_time where the
-    barrier was never reached before the horizon (hit tracking takes one
-    side).
+    sides, the argmax on the winning side, and NaN hit_time where the barrier
+    was never reached before the horizon (hit tracking takes one side).
     """
     s0, x0 = float(s0), float(x0)  # integer starts must not make int arrays
     inc = [_stream(cfg.seed, 0, sd, chunk) for sd in sides]
@@ -207,6 +222,7 @@ def _one_sided_chunk(cfg: McConfig, chunk: int, n: int, *, s0: float,
         """Dt leaves of side k of paths r, left ends at fine index first."""
         if track_hit:
             crossed = hl & (b >= 0.0)
+            barrier_open[r[crossed]] = False  # a grid passage
             if bridge:  # exact crossing of the leaf's bridge
                 prod = a * b
                 j = np.flatnonzero(hl & (a < 0.0) & (b < 0.0) & (prod < 22.5 * dt))
@@ -220,41 +236,31 @@ def _one_sided_chunk(cfg: McConfig, chunk: int, n: int, *, s0: float,
             best = cur_max.copy()
             np.maximum.at(best, r, M)
             win = (M == best[r]) & (M > cur_max[r])
-            w = r[win]
-            leaf[w], leaf_a[w], leaf_b[w] = first[win], a[win], b[win]
-            leaf_side[w] = k
+            tau = dt  # without the bridge correction: the leaf's right end
+            if bridge:  # drawn inside the leaf that takes the record
+                tau = _leaf_argmax(brg[k], M[win] - a[win], M[win] - b[win], dt)
+            arg[r[win]] = s0 + (1 - 2 * k) * (first[win] * dt + tau)
             cur_max[:] = best
 
     def refine(k, r, first, B, nn, hl):
-        """Split side k's intervals of nn fine steps of paths r, with ends
-        B[0] and B[2], level by level; B[1] takes the midpoints.  Which
-        intervals are split reads grid values alone, never ``brg`` draws."""
-        while r.size:
-            if np.ndim(nn):  # uneven splits reach dt at different levels
-                lf = nn == 1
-                leaves(k, r[lf], first[lf], B[0, lf], B[2, lf], hl[lf])
-                B = B[:, ~lf]
-                r, first, nn, hl = (v[~lf] for v in (r, first, nn, hl))
-                if not r.size:
-                    return
-            elif nn == 1:
-                return leaves(k, r, first, B[0], B[2], hl)
+        """Split side k's intervals of nn (a power of two) fine steps of
+        paths r, with ends B[0] and B[2], level by level; B[1] takes the
+        midpoints.  Which intervals are split reads grid values alone,
+        never ``brg`` draws."""
+        while nn > 1 and r.size:
             # the pinned bridge's midpoint plus the parabola's chord sag
-            nl = nn // 2
-            th = nl / nn
-            var = th * (1.0 - th) * (nn * dt)
-            xm = np.multiply(B[0], 1.0 - th, out=B[1])
-            xm += B[2] * th
+            var = 0.25 * (nn * dt)
+            xm = np.multiply(B[0], 0.5, out=B[1])
+            xm += B[2] * 0.5
             xm += np.sqrt(var) * inc[k].standard_normal(r.size, dtype=np.float32)
             if parabola:
                 xm += var * (nn * dt)
-            live = None
+            nn //= 2
             if track_max:
                 np.maximum.at(rec, r, xm)
-            if track_hit:  # up to the first endpoint >= 0
-                live = np.stack([hl, hl & (xm < 0.0)])
-            steps = np.array([nl, nn - nl]).reshape(2, -1)  # the children's
-            keep, hit = keep_test(B[:2], B[1:], steps * dt,
+            # hit tracking runs up to the first endpoint >= 0
+            live = np.stack([hl, hl & (xm < 0.0)]) if track_hit else None
+            keep, hit = keep_test(B[:2], B[1:], nn * dt,
                                   rec[r] if track_max else None, live)
             # kept children, left ones first: B's flat index of the left end
             idx = np.flatnonzero(keep)
@@ -263,28 +269,28 @@ def _one_sided_chunk(cfg: McConfig, chunk: int, n: int, *, s0: float,
             B = np.empty((3, idx.size))
             B[0], B[2] = Bf[idx], Bf[idx + r.size]
             hl = hit.ravel()[idx]
-            even = np.ndim(nn) == 0 and nn % 2 == 0
-            nn = nl if even else np.broadcast_to(steps, keep.shape).ravel()[idx]
             p = idx  # now the parent of each child
             p[n_left:] -= r.size
             r, first = r[p], first[p]
-            first[n_left:] += nl[p[n_left:]] if np.ndim(nl) else nl
+            first[n_left:] += nn
+        if r.size:
+            leaves(k, r, first, B[0], B[2], hl)
 
     alive = [np.arange(n) for _ in sides]  # per side: paths still drawn
     x_last = [np.full(n, x0) for _ in sides]
     rec = np.full(n, x0)  # the grid record that refinement reads
     cur_max = np.full(n, x0)
-    leaf = np.full(n, -1)  # fine index of the left end of each path's best leaf
-    leaf_side = np.zeros(n, dtype=np.intp)
-    leaf_a, leaf_b = np.empty(n), np.empty(n)
+    arg = np.full(n, s0)
     hit_step = np.full(n, n_steps + 1)  # fine index of the first passage
-    barrier_open = np.ones(n, dtype=bool)  # no coarse endpoint >= 0 yet
+    barrier_open = np.ones(n, dtype=bool)  # no grid value >= 0 yet
 
-    done = 0
-    while done < n_steps and any(idx.size for idx in alive):
-        C = min(_SLAB, -(-(n_steps - done) // _K))
-        ends = np.minimum(done + _K * np.arange(C + 1), n_steps)
-        lens = np.diff(ends)  # the horizon's last interval may be short
+    all_ends = _coarse_ends(n_steps)
+    for j in range(0, all_ends.size - 1, _SLAB):
+        if not any(idx.size for idx in alive):
+            break
+        ends = all_ends[j:j + _SLAB + 1]
+        C = ends.size - 1
+        lens = np.diff(ends)
         tg = s0 + ends * dt
         # each side's coarse state at fine indices ends (column 0 = carry-in)
         Xs = []
@@ -305,30 +311,28 @@ def _one_sided_chunk(cfg: McConfig, chunk: int, n: int, *, s0: float,
         for k, (idx, X) in enumerate(zip(alive, Xs)):
             live = None
             if track_hit:
-                seen = np.logical_or.accumulate(X[:, 1:] >= 0.0, axis=1)
                 # up to and including the first coarse endpoint >= 0
                 live = np.empty((idx.size, C), dtype=bool)
                 live[:, 0] = barrier_open[idx]
-                np.logical_not(seen[:, :-1], out=live[:, 1:])
+                np.logical_not(np.logical_or.accumulate(X[:, 1:-1] >= 0.0, axis=1),
+                               out=live[:, 1:])
                 live[:, 1:] &= live[:, :1]
-                barrier_open[idx[seen[:, -1]]] = False
             fill, hit_fill = keep_test(X[:, :-1], X[:, 1:], lens * dt,
                                        rec[idx][:, None] if track_max else None, live)
             rows, cols = np.divmod(np.flatnonzero(fill), C)
-            short = (cols == C - 1) & (lens[-1] != lens[0])
             per = _FILL_SLAB // _K  # coarse intervals per batch
-            for grp, nn in ((~short, lens[0]), (short, lens[-1])):
+            for nn in np.unique(lens)[::-1]:  # one batch loop per length
+                grp = lens[cols] == nn
                 r_g, c_g = rows[grp], cols[grp]
                 for lo in range(0, r_g.size, per):
                     r, c = r_g[lo:lo + per], c_g[lo:lo + per]
                     B = np.empty((3, r.size))
                     B[0], B[2] = X[r, c], X[r, c + 1]
-                    refine(k, idx[r], done + _K * c, B, int(nn), hit_fill[r, c])
+                    refine(k, idx[r], ends[c], B, int(nn), hit_fill[r, c])
 
-        # retire a side once its barrier is passed or out of reach (if
-        # tracked) and the record is out of its reach (if tracked): from x_T
-        # at time T > 0, sup_u B(u) - 2 T u - u^2 passes d with probability
-        # e^{-4 T d}
+        # retire a side once its barrier is passed or out of reach and the
+        # record is out of its reach (each if tracked): from x_T at time T > 0,
+        # sup_u B(u) - 2 T u - u^2 passes d with probability e^{-4 T d}
         T = tg[-1]
         for k, (idx, X) in enumerate(zip(alive, Xs)):
             x_T = X[:, -1]
@@ -338,18 +342,14 @@ def _one_sided_chunk(cfg: McConfig, chunk: int, n: int, *, s0: float,
             if track_max:
                 out &= parabola & (4.0 * T * (rec[idx] - x_T) > 48.0)
             alive[k], x_last[k] = idx[~out], x_T[~out]
-        done = int(ends[-1])
 
-    arg = np.full(n, s0)
-    if track_max:
-        for k in range(len(sides)):
-            w = np.flatnonzero((leaf >= 0) & (leaf_side == k))
-            tau = dt  # without the bridge correction: the leaf's right end
-            if bridge:  # drawn inside each path's best leaf
-                tau = _leaf_argmax(brg[k], cur_max[w] - leaf_a[w],
-                                   cur_max[w] - leaf_b[w], dt)
-            arg[w] = s0 + (1 - 2 * k) * (leaf[w] * dt + tau)
     return cur_max, arg, np.where(hit_step <= n_steps, s0 + hit_step * dt, np.nan)
+
+
+def _paths(cfg: McConfig, **kw):
+    """(max, argmax, hit_time) of all cfg.n_paths paths, chunk by chunk."""
+    parts = _run_chunks(cfg, lambda ci, n: _one_sided_chunk(cfg, ci, n, **kw))
+    return [np.concatenate(p) for p in zip(*parts)]
 
 
 def simulate_two_sided(cfg: McConfig) -> PathSample:
@@ -363,29 +363,14 @@ def simulate_two_sided(cfg: McConfig) -> PathSample:
     """
     if cfg.t_max < TWO_SIDED_T_MIN:
         raise ValueError("two-sided runs need t_max >= %g" % TWO_SIDED_T_MIN)
-
-    def worker(ci, n):
-        return _one_sided_chunk(
-            cfg, ci, n, s0=0.0, x0=0.0, sides=(0, 1), parabola=True,
-            track_max=True, track_hit=False)
-
-    parts = _run_chunks(cfg, worker)
-    return PathSample(np.concatenate([p[0] for p in parts]),
-                      np.concatenate([p[1] for p in parts]))
+    return PathSample(*_paths(cfg, s0=0.0, x0=0.0, sides=(0, 1), parabola=True,
+                              track_max=True, track_hit=False)[:2])
 
 
 def simulate_one_sided(state: StartState, cfg: McConfig) -> PathSample:
     """Max, argmax and first barrier passage of the process from (s, x)."""
-
-    def worker(ci, n):
-        return _one_sided_chunk(
-            cfg, ci, n, s0=state.s, x0=state.x, sides=(2,), parabola=True,
-            track_max=True, track_hit=True)
-
-    parts = _run_chunks(cfg, worker)
-    return PathSample(np.concatenate([p[0] for p in parts]),
-                      np.concatenate([p[1] for p in parts]),
-                      np.concatenate([p[2] for p in parts]))
+    return PathSample(*_paths(cfg, s0=state.s, x0=state.x, sides=(2,),
+                              parabola=True, track_max=True, track_hit=True))
 
 
 def estimate_hitting_prob(state: StartState, cfg: McConfig) -> HitEstimate:
@@ -395,39 +380,26 @@ def estimate_hitting_prob(state: StartState, cfg: McConfig) -> HitEstimate:
     bias (up to the O(dt^2) curvature of the parabola within one step)."""
     if not state.x < 0.0:
         raise ValueError("hitting estimate requires x < 0")
-
-    def worker(ci, n):
-        _, _, ht = _one_sided_chunk(
-            cfg, ci, n, s0=state.s, x0=state.x, sides=(2,), parabola=True,
-            track_max=False, track_hit=True)
-        return np.count_nonzero(~np.isnan(ht))
-
-    hits = int(sum(_run_chunks(cfg, worker)))
+    _, _, ht = _paths(cfg, s0=state.s, x0=state.x, sides=(2,), parabola=True,
+                      track_max=False, track_hit=True)
+    hits = int(np.count_nonzero(~np.isnan(ht)))
     p = hits / cfg.n_paths
     se = math.sqrt(max(p * (1.0 - p), 1e-12) / cfg.n_paths)
     return HitEstimate(p, se, cfg.n_paths, hits)
 
 
-def simulate_pure_bm_passage(z: float, cfg: McConfig,
-                             bin_width: float = 0.1,
-                             upper: float = 5.0) -> PassageHistogram:
+def simulate_pure_bm_passage(z: float, cfg: McConfig) -> PassageHistogram:
     """Histogram of the first passage through 0 of driftless BM from z > 0.
 
-    By symmetry the kernel runs from -z upward.  Horizon is
-    max(t_max, upper); passages beyond ``upper`` (or never) count as
-    censored."""
+    By symmetry the kernel runs from -z upward, in bins of ``PUREBM_BIN``.
+    Horizon is max(t_max, ``PUREBM_UPPER``); passages beyond it (or never)
+    count as censored."""
     if not z > 0.0:
         raise ValueError("z must be positive")
-    run_cfg = cfg if cfg.t_max >= upper else replace(cfg, t_max=upper)
-
-    def worker(ci, n):
-        _, _, ht = _one_sided_chunk(
-            run_cfg, ci, n, s0=0.0, x0=-z, sides=(3,), parabola=False,
-            track_max=False, track_hit=True)
-        return ht
-
-    times = np.concatenate(_run_chunks(run_cfg, worker))
-    edges = np.arange(0.0, upper + bin_width / 2.0, bin_width)
+    run_cfg = replace(cfg, t_max=max(cfg.t_max, PUREBM_UPPER))
+    _, _, times = _paths(run_cfg, s0=0.0, x0=-z, sides=(3,), parabola=False,
+                         track_max=False, track_hit=True)
+    edges = np.arange(0.0, PUREBM_UPPER + PUREBM_BIN / 2.0, PUREBM_BIN)
     counts, _ = np.histogram(times[~np.isnan(times)], bins=edges)
     return PassageHistogram(edges, counts, run_cfg.n_paths,
                             int(run_cfg.n_paths - counts.sum()))

@@ -457,8 +457,7 @@ _CHECKS: dict[str, Callable[[float], object]] = {
 
 
 def run_all(profile: str | float = "default",
-            suites: Sequence[str] = ("airy", "identities", "pde")
-            ) -> list[CheckReport]:
+            suites: Sequence[str] = tuple(SUITES)) -> list[CheckReport]:
     """Run the selected suites; returns reports in declaration order.
 
     ``profile`` scales every tolerance: "default" = 1, "strict" = 1/100, or

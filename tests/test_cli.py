@@ -305,6 +305,12 @@ def test_tabulate_far_start_level_reads_zero(tmp_path, which):
      "--a-from", "0.5", "--a-to", "1", "--a-step", "1"),
     # a non-finite horizon, like a non-finite --dt
     ("simulate", "--what", "argmax", "--paths", "100", "--tmax", "inf"),
+    ("simulate", "--what", "purebm", "--paths", "100", "--z", "inf"),
+    # bins that are empty, reach below the start level 0 or are not numbers
+    ("compare", "--target", "max", "--paths", "100", "--bin-width", "0.5"),
+    ("compare", "--target", "max", "--paths", "100", "--bin-width", "nan"),
+    ("compare", "--target", "max", "--paths", "100", "--bin-width=-0.1"),
+    ("compare", "--target", "max", "--paths", "100", "--bin-width", "0"),
 ])
 def test_domain_errors_are_one_line_usage_errors(argv):
     r = run_proc(*argv)

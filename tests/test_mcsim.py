@@ -103,7 +103,7 @@ def test_hitting_estimate_against_quadrature():
 
 def test_hitting_across_two_time_slabs():
     # dt = 1e-4 and t_max = 4.1 give 41000 steps: 20 slabs of 32 coarse
-    # intervals of 64 steps, then a last slab of one 40-step interval
+    # intervals of 64 steps, then a last slab of two, of 32 and 8 steps
     cfg = McConfig(n_paths=20000, dt=1e-4, t_max=4.1, seed=6, threads=2)
     assert cfg.n_steps % (mcsim._SLAB * mcsim._K) == 40
     target = dens.hitting_prob(StartState(0.0, -1.0))
@@ -204,10 +204,15 @@ def _on_grid(t, dt, s0=0.0):
     return np.all(np.abs(k - np.round(k)) < 1e-6)
 
 
-def test_short_last_coarse_interval():
-    # dt = 3e-3 gives 1333 steps: 20 coarse intervals of 64 steps and a
-    # last one of 53, whose uneven splits reach dt at different levels
-    cfg = McConfig(n_paths=4000, dt=3e-3, t_max=4.0, seed=5)
+@pytest.mark.parametrize("dt, tail", [(3e-3, [32, 16, 4, 1]),
+                                      (4.0 / 1343, [32, 16, 8, 4, 2, 1])],
+                         ids=["1333_steps", "1343_steps"])
+def test_short_last_coarse_interval(dt, tail):
+    # dt = 3e-3 gives 1333 steps: 20 coarse intervals of 64 steps, then the
+    # remainder 53 as power-of-two intervals, each split evenly down to dt;
+    # dt = 4/1343 leaves 63, the longest remainder, in six intervals
+    cfg = McConfig(n_paths=4000, dt=dt, t_max=4.0, seed=5)
+    assert list(np.diff(mcsim._coarse_ends(cfg.n_steps))[20:]) == tail
     s = mcsim.simulate_two_sided(cfg)
     assert np.all(s.max >= 0.0)
     assert np.all(np.abs(s.argmax) <= cfg.n_steps * cfg.dt + 1e-12)
@@ -216,8 +221,8 @@ def test_short_last_coarse_interval():
 
 
 def test_pure_bm_passage_law_with_a_short_last_interval():
-    # dt = 3e-3 and t_max = 5 give 1667 steps: the last coarse interval
-    # has 3 steps (split 1 + 2)
+    # dt = 3e-3 and t_max = 5 give 1667 steps: the remainder of 3 steps
+    # makes two last coarse intervals, of 2 steps and of 1
     cfg = McConfig(n_paths=100000, dt=3e-3, t_max=5.0, seed=7, threads=2)
     assert cfg.n_steps % 64 == 3
     h = mcsim.simulate_pure_bm_passage(1.0, cfg)
@@ -328,10 +333,12 @@ def normals_drawn(monkeypatch):
 def test_pure_bm_passage_retires_hit_paths_each_slab(normals_drawn):
     # 8192 paths over 157 coarse steps draw 1.29 M coarse normals if none
     # retires; with the whole horizon in one slab, coarse plus refinement
-    # normals come to 2.43 M, and retiring hit paths after each 32-step slab
-    # must bring them under 2.2 M
+    # normals come to 2.43 M.  Retiring hit paths after each 32-step slab,
+    # with the barrier closed at the first grid value >= 0 that a leaf
+    # reaches, must bring them under 1.9 M (1.96 M when only coarse
+    # endpoints close it)
     n = normals_drawn(lambda: mcsim.simulate_pure_bm_passage(1.0, BENCH_CFG))
-    assert n <= 2.2e6
+    assert n <= 1.9e6
 
 
 def test_hitting_retires_paths_whose_barrier_is_out_of_reach(normals_drawn):
