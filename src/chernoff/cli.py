@@ -118,8 +118,8 @@ def cmd_tabulate(args) -> int:
         elif which == "joint2":
             g, aa = _grid(args), _grid(args, "a_")
             _require(aa[0] > 0.0, "tabulate --which joint2 needs --a-from > 0")
-            rows = [(t, a, f) for t in g for a, f in zip(
-                aa, dens._clamp_density(dens._joint_two_sided_row(float(t), aa)))]
+            vals = dens._clamp_density(dens._joint_two_sided_grid(g, aa))
+            rows = [(t, a, f) for t, row in zip(g, vals) for a, f in zip(aa, row)]
             text = _fmt_rows("t,a,f", rows)
         else:  # pragma: no cover - argparse restricts choices
             return 2

@@ -18,11 +18,13 @@ product form ``exp((2/3)s^3 + 2s(x-a)) h_{x-a}(tau) phi(s+tau)``,
 integrated over the argmax time.
 
 Laplace inversion runs on two routes that cross-validate each other:
-a fixed-Talbot contour (small times) and the residue series over Airy zeros
-(times >= ~0.9, where it converges to machine precision).  The direct
-Fourier form along the imaginary axis is how the transform is defined, but
-its integrand only decays like ``exp(-c sqrt(u))``, so it lives in the test
-oracles as a slow reference, not here.
+below t = 0.9 one parabolic Bromwich contour per octave of time, whose 33
+Airy ratios serve every time in the octave, and from there the residue
+series over Airy zeros, which converges to machine precision; they agree
+to ~3e-13 on [0.5, 0.9).  The direct Fourier form along the imaginary axis
+is how the transform is defined, but its integrand only decays like
+``exp(-c sqrt(u))``, so it lives in the test oracles as a slow reference,
+next to a fixed-Talbot contour per time.
 
 ``phi`` is the residue series over the Airy zeros below t = -1, and
 e^{-(2/3) t^3} k(t, 0) from there on, with k a trapezoid sum on a saddle line
@@ -82,9 +84,12 @@ __all__ = [
 TWO13 = 2.0 ** (1.0 / 3.0)
 FOUR13 = 2.0 ** (2.0 / 3.0)
 
-_TALBOT_M = 30
-_TALBOT_T_MIN = 1e-12
-_RESIDUE_T_MIN = 0.9
+_H_T_MIN = 1e-12        # below it, the small-time limit of h
+_RESIDUE_T_MIN = 0.9    # from it on, the residue series; below, the contour
+_H_NODES = 32           # trapezoid steps of a band's contour on u in [0, 4]
+_H_STEP = 4.0 / _H_NODES
+_H_MU_T1 = 0.15 * _H_NODES  # mu t1 of the band's parabola
+_H_BLOCK = 4096         # (shift, time) entries per block of contour terms
 _N_ZEROS = 64  # truncation at t = 0.9 under 2e-23, below the series' rounding
 _H_ERR = 2e-10  # validated pointwise accuracy scale of the h inversion
 # tolerance of the max density's time integral, at the h noise scale: at
@@ -157,24 +162,19 @@ def _h_residue(a_arr, ts: np.ndarray) -> np.ndarray:
     return terms.sum(axis=-1)  # per entry, so no entry depends on the grid
 
 
-_TH = np.arange(1, _TALBOT_M) * math.pi / _TALBOT_M
-_COT = 1.0 / np.tan(_TH)
-_TALBOT_S = _TH * (_COT + 1j)                       # contour / r
-_TALBOT_SIG = _TH + (_TH * _COT - 1.0) * _COT       # correction factor
-
-
-def _h_talbot(a_arr, ts: np.ndarray) -> np.ndarray:
-    """Fixed-Talbot inversion, (shifts, times)."""
-    a_arr = np.atleast_1d(np.asarray(a_arr, dtype=np.float64))
-    ts = np.asarray(ts, dtype=np.float64)
-    r = 2.0 * _TALBOT_M / (5.0 * ts)
-    lam = r[:, None] * _TALBOT_S[None, :]
-    xi = 2.0 ** (-1.0 / 3.0) * lam
-    expo = ts[:, None] * lam + airy.log_ai_diff(xi, a_arr[:, None, None])
-    terms = (np.exp(expo) * (1.0 + 1j * _TALBOT_SIG)).real.sum(axis=-1)
-    xi0 = (2.0 ** (-1.0 / 3.0) * r).astype(np.complex128)
-    head = 0.5 * np.exp(ts * r + airy.log_ai_diff(xi0, a_arr[:, None]).real)
-    return (r / _TALBOT_M) * (head + terms)
+@lru_cache(maxsize=None)
+def _h_band(k: int):
+    """Band k of the h contour, the times [0.9 / 2^(k+1), 0.9 / 2^k): the
+    parabola z = mu (1 + iu)^2, mu = 4.8 / t1 at the band's top t1, folded
+    onto u >= 0 by conjugate symmetry and cut at u = 4 (Weideman & Trefethen,
+    Math. Comp. 2007).  Returns the nodes z and the log trapezoid weights
+    log w, w = (step/pi) 2 mu (1 + iu), halved at u = 0."""
+    mu = _H_MU_T1 * 2.0 ** k / _RESIDUE_T_MIN
+    u = _H_STEP * np.arange(_H_NODES + 1.0)
+    w = (_H_STEP / math.pi) * 2.0 * mu * (1.0 + 1j * u)
+    w[0] *= 0.5
+    z = mu * (1.0 + 1j * u) ** 2
+    return z, np.log(w)
 
 
 def _h_brownian(a_arr, ts: np.ndarray) -> np.ndarray:
@@ -182,30 +182,64 @@ def _h_brownian(a_arr, ts: np.ndarray) -> np.ndarray:
     density |x| (2 pi t^3)^{-1/2} exp(-x^2/(2t)) at x = -a/4^{1/3}.  Its
     relative error is O(t^{3/2}) wherever h is representable, so below
     1e-12 it is exact in double precision; in log form it stays finite
-    down to subnormal t, where the Talbot contour 12/t overflows."""
+    down to subnormal t, where the contour scale mu ~ 1/t overflows."""
     x = np.atleast_1d(a_arr)[:, None] / FOUR13
     with np.errstate(divide="ignore", over="ignore"):
         return np.exp(np.log(x) - 0.5 * math.log(2.0 * math.pi)
                       - 1.5 * np.log(ts) - x * x / (2.0 * ts))
 
 
-def _h_grid(a_arr, t_arr) -> np.ndarray:
-    """h on the (shift, time) grid, shape (len(a), len(t)), for Airy shifts
-    a = -4^{1/3} x >= 0: 0 at t <= 0, the small-time limit below 1e-12,
-    Talbot below t = 0.9, the residue series from there on."""
+def _h_kernel(a_arr):
+    """h at the Airy shifts a = -4^{1/3} x >= 0 as a function of time: it
+    maps times to the (len(a), len(t)) grid, 0 at t <= 0, the small-time
+    limit below 1e-12, from there the contour of each time's band, and the
+    residue series from t = 0.9 on.  Each entry sums its own terms, so a
+    grid, its rows and its columns agree bit for bit.  The Airy ratios at a
+    band's nodes are taken once, in one call for the bands that a time
+    array opens, and kept while the function lives: an adaptive integral
+    over t pays for each band once, not for each time."""
     a_arr = np.atleast_1d(np.asarray(a_arr, dtype=np.float64))
-    t_arr = np.atleast_1d(np.asarray(t_arr, dtype=np.float64))
-    out = np.zeros((a_arr.size, t_arr.size))
-    tiny = (t_arr > 0.0) & (t_arr < _TALBOT_T_MIN)
-    small = (t_arr >= _TALBOT_T_MIN) & (t_arr < _RESIDUE_T_MIN)
-    large = t_arr >= _RESIDUE_T_MIN
-    if tiny.any():
-        out[:, tiny] = _h_brownian(a_arr, t_arr[tiny])
-    if small.any():
-        out[:, small] = _h_talbot(a_arr, t_arr[small])
-    if large.any():
-        out[:, large] = _h_residue(a_arr, t_arr[large])
-    return out
+    ratios = {}  # band -> log Ai(2^{-1/3} z + a) - log Ai(2^{-1/3} z), (shifts, nodes)
+
+    def contour(ts):
+        band = -np.frexp(ts / _RESIDUE_T_MIN)[1]
+        bands = [int(k) for k in np.unique(band)]
+        todo = [k for k in bands if k not in ratios]
+        if todo:
+            z = np.concatenate([_h_band(k)[0] for k in todo])
+            logr = airy.log_ai_diff(z[None, :] / TWO13, a_arr[:, None])
+            ratios.update(zip(todo, np.split(logr, len(todo), axis=1)))
+        out = np.empty((a_arr.size, ts.size))
+        step = max(1, _H_BLOCK // a_arr.size)
+        for k in bands:
+            z, logw = _h_band(k)
+            jk = np.flatnonzero(band == k)
+            for j in np.split(jk, range(step, jk.size, step)):
+                expo = (logw + ratios[k])[:, None, :] + ts[j, None] * z
+                out[:, j] = (np.exp(expo.real) * np.cos(expo.imag)).sum(axis=-1)
+        return out
+
+    def h(t_arr) -> np.ndarray:
+        t_arr = np.atleast_1d(np.asarray(t_arr, dtype=np.float64))
+        out = np.zeros((a_arr.size, t_arr.size))
+        tiny = (t_arr > 0.0) & (t_arr < _H_T_MIN)
+        small = (t_arr >= _H_T_MIN) & (t_arr < _RESIDUE_T_MIN)
+        large = t_arr >= _RESIDUE_T_MIN
+        if tiny.any():
+            out[:, tiny] = _h_brownian(a_arr, t_arr[tiny])
+        if small.any():
+            out[:, small] = contour(t_arr[small])
+        if large.any():
+            out[:, large] = _h_residue(a_arr, t_arr[large])
+        return out
+
+    return h
+
+
+def _h_grid(a_arr, t_arr) -> np.ndarray:
+    """h on the (shift, time) grid, shape (len(a), len(t)), by one
+    `_h_kernel`: one Airy call for every band the times touch."""
+    return _h_kernel(a_arr)(t_arr)
 
 
 def h_density(x: float, t: float) -> float:
@@ -252,11 +286,34 @@ def _passage_horizon(s: float, x: float, shift: float, target: float,
     return truncation(decay, target, lo=max(1.0, 1.5 - s), hi=60.0)
 
 
+def _passage_head(s: float, x: float, T: float, target: float):
+    """Time tau0 in [0, T] before which the passage from (s, x) has
+    probability at most ``target``, and that bound.  On [s, s + tau0] the
+    parabola moves the level by at most 2|s| tau0 + tau0^2, so by the
+    reflection principle the probability is at most
+    erfc((|x| - 2|s| tau0 - tau0^2) / sqrt(2 tau0)); tau0 is the largest
+    time where that is <= target, by 60 bisections as in the horizon."""
+    def bound(tau):
+        return math.erfc((-x - 2.0 * abs(s) * tau - tau * tau)
+                         / math.sqrt(2.0 * tau)) if tau > 0.0 else 0.0
+
+    lo, hi = 0.0, min(x * x, T)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if bound(mid) <= target:
+            lo = mid
+        else:
+            hi = mid
+    return lo, bound(lo)
+
+
 def hitting_prob(state: StartState, spec: QuadratureSpec | None = None) -> float:
     """Probability that the process from (s, x) ever reaches the barrier.
 
     Absolutely convergent route: the time integral of the passage density
-    ``exp(-(2/3)((s+tau)^3 - s^3) + 2 s x) h_x(tau)``.
+    ``exp(-(2/3)((s+tau)^3 - s^3) + 2 s x) h_x(tau)`` on [tau0, T], with
+    the bounds of the passage mass before tau0 and after T counted in the
+    error.  One h kernel serves every adaptive pass.
     """
     if state.x == 0.0:
         return 1.0
@@ -264,11 +321,13 @@ def hitting_prob(state: StartState, spec: QuadratureSpec | None = None) -> float
     s, x = state.s, state.x
     a = state.shift
     T, tail = _passage_horizon(s, x, a, spec.abs_tol / 2.0)
+    tau0, head = _passage_head(s, x, T, spec.abs_tol / 4.0)
+    h = _h_kernel(a)
 
     def f(tau):
-        return np.exp(2.0 * s * x - _cubic_gap(s, tau)) * _h_grid(a, tau)[0]
+        return np.exp(2.0 * s * x - _cubic_gap(s, tau)) * h(tau)[0]
 
-    res = integrate_interval(f, 0.0, T, spec, tail=tail)
+    res = integrate_interval(f, tau0, T, spec, tail=tail + head)
     err = res.err_estimate + _H_ERR * T
     return _as_probability(res.value.real, err, "hitting_prob%s" % (state,))
 
@@ -372,13 +431,24 @@ def tilted_g(s: float, barrier_width: float | None) -> QuadratureResult:
     return _g_rule(s, A, _Y_NODES)[2]
 
 
+_SURVIVAL_ERR = 1e-6  # largest scaled error estimate survival_prob returns with
+
+
 def survival_prob(state: StartState) -> float:
     """Probability of never reaching the barrier from (s, x):
-    exp(2sx + (2/3)s^3) g(s, x)."""
+    exp(2sx + (2/3)s^3) g(s, x).  The g rule is accurate in absolute terms,
+    so the factor e^{(2/3)s^3} scales its error: where that scaled error
+    passes 1e-6 (s above about 2.4) or the factor overflows, it raises
+    ProbabilityRangeError instead of returning a value."""
     if state.x == 0.0:
         return 0.0
     res = tilted_g(state.s, state.shift)
-    tilt = math.exp((2.0 / 3.0) * state.s ** 3)
+    cubic = (2.0 / 3.0) * state.s ** 3
+    tilt = math.exp(cubic) if cubic < 700.0 else math.inf
+    if not tilt * res.err_estimate <= _SURVIVAL_ERR:
+        raise ProbabilityRangeError(
+            "survival_prob%s: e^{(2/3)s^3} = e^%.4g times the g rule's error "
+            "%.1e passes %.0e" % (state, cubic, res.err_estimate, _SURVIVAL_ERR))
     return _as_probability(tilt * res.value, tilt * res.err_estimate,
                            "survival_prob%s" % (state,))
 
@@ -582,16 +652,19 @@ def max_density_one_sided(a: float, state: StartState) -> float:
     shift = FOUR13 * (a - x)
     pref = math.exp((2.0 / 3.0) * s ** 3 + 2.0 * s * (x - a))
     T, _ = _passage_horizon(s, x - a, shift, _MAX_TOL / 2.0, weighted=True)
+    h = _h_kernel(shift)
     res = integrate_interval(
-        lambda tau: pref * _h_grid(shift, tau)[0] * phi(s + tau), 0.0, T,
+        lambda tau: pref * h(tau)[0] * phi(s + tau), 0.0, T,
         QuadratureSpec(abs_tol=_MAX_TOL, rel_tol=_MAX_TOL))
     return max(res.value.real, 0.0)
 
 
-def _joint_two_sided_row(t: float, a_arr: np.ndarray) -> np.ndarray:
-    """The two-sided joint density at one time t for an array of levels."""
-    at = abs(t)
-    return _h_grid(FOUR13 * a_arr, at)[:, 0] * _g0_fast(a_arr) * phi(at)
+def _joint_two_sided_grid(t_arr, a_arr) -> np.ndarray:
+    """The two-sided joint density on the (time, level) grid, shape
+    (len(t), len(a)), from one h grid over (level, |t|)."""
+    at = np.abs(np.atleast_1d(np.asarray(t_arr, dtype=np.float64)))
+    a_arr = np.atleast_1d(np.asarray(a_arr, dtype=np.float64))
+    return (_h_grid(FOUR13 * a_arr, at) * _g0_fast(a_arr)[:, None] * phi(at)).T
 
 
 def joint_density_two_sided(t: float, a: float) -> float:
@@ -599,7 +672,7 @@ def joint_density_two_sided(t: float, a: float) -> float:
     h_{-a}(|t|) g(0,-a) phi(|t|), a > 0, even in t."""
     if not a > 0.0:
         raise ValueError("requires a > 0")
-    return float(_joint_two_sided_row(float(t), np.asarray([float(a)]))[0])
+    return float(_joint_two_sided_grid(float(t), float(a))[0, 0])
 
 
 def _max_marginal_many(a_arr: np.ndarray) -> np.ndarray:

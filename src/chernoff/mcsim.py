@@ -71,7 +71,7 @@ _FILL_SLAB = 1 << 19  # fine steps per batch of refined coarse intervals
 _LOG_FLOOR = 1e-300
 TWO_SIDED_T_MIN = 4.0  # shortest horizon of a two-sided run
 PUREBM_BIN = 0.1       # bin width of the pure-BM passage histogram
-PUREBM_UPPER = 5.0     # its last edge, and the shortest horizon of its runs
+PUREBM_UPPER = 5.0     # its last edge, and the horizon of its runs
 
 
 @dataclass(frozen=True)
@@ -392,11 +392,11 @@ def simulate_pure_bm_passage(z: float, cfg: McConfig) -> PassageHistogram:
     """Histogram of the first passage through 0 of driftless BM from z > 0.
 
     By symmetry the kernel runs from -z upward, in bins of ``PUREBM_BIN``.
-    Horizon is max(t_max, ``PUREBM_UPPER``); passages beyond it (or never)
-    count as censored."""
+    Paths run to the histogram's last edge ``PUREBM_UPPER`` whatever
+    ``cfg.t_max``; passages beyond it (or never) count as censored."""
     if not z > 0.0:
         raise ValueError("z must be positive")
-    run_cfg = replace(cfg, t_max=max(cfg.t_max, PUREBM_UPPER))
+    run_cfg = replace(cfg, t_max=PUREBM_UPPER)
     _, _, times = _paths(run_cfg, s0=0.0, x0=-z, sides=(3,), parabola=False,
                          track_max=False, track_hit=True)
     edges = np.arange(0.0, PUREBM_UPPER + PUREBM_BIN / 2.0, PUREBM_BIN)

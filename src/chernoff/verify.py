@@ -252,10 +252,10 @@ def check_laplace_roundtrip(lambdas: Sequence[float] = (0.5, 1.0, 2.0),
     rate = 2.0 ** (1.0 / 3.0) * abs(float(airy.airy_zeros(1)[0]))  # ~2.946
 
     def roundtrip(lam, x):
-        a = -dens.FOUR13 * x
+        h = dens._h_kernel(-dens.FOUR13 * x)
         U = max(14.0, 40.0 / (lam + rate))
         return integrate_interval(
-            lambda u: np.exp(-lam * u) * dens._h_grid(a, u)[0], 0.0, U,
+            lambda u: np.exp(-lam * u) * h(u)[0], 0.0, U,
             QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10),
             tail=2.0 * math.exp(-(lam + rate) * U)).value.real
 
@@ -371,7 +371,7 @@ def check_moment_relation(profile: float = 1.0) -> CheckReport:
     em3 = dens.max_mean_two_sided() / 3.0
     rel = abs(et2 - em3) / em3
     return CheckReport.build("moment_relation", 0.0, rel,
-                             _scaled(1e-4, profile), t0)
+                             _scaled(1e-8, profile), t0)
 
 
 # ----------------------------------------------------------------------------

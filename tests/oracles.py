@@ -5,14 +5,15 @@ Stirling-series gamma, a brute-force oscillatory quadrature for the real
 Airy integral, a dense fixed-grid rule for smooth decaying integrands, and
 phi from scipy's Airy function on such a grid, and k(t, 0) and phi's left
 tail at 30 digits with mpmath, from the saddle contour and the Airy-zero
-residues.  Six read the package: the
+residues.  Seven read the package: the
 Poincare-series loop that sums every point until the slowest stops takes the
 package's coefficients, so it checks the per-point term counts of
 ``airy._asy_sums``; the full-line integral runs the package's adaptive
 integrator on [-U, U], so folded integrals can be checked against the
 unfolded line; h from its defining Fourier integral and the full-line u
 integrand of g take their log-Airy values from the package, so they check
-the inversion routes and the g rule's quadrature rather than Airy values;
+the inversion routes and the g rule's quadrature rather than Airy values,
+and so does h by a fixed-Talbot contour per time;
 the max density as a difference of hitting probabilities reads the
 package's hitting probability, a route to it that never evaluates phi; and
 the per-side two-sided Monte Carlo run calls the package's path engine once
@@ -205,6 +206,32 @@ def h_density_fourier(x: float, t: float):
         return (TWO13 / math.pi) * 2.0 * (su / c + 1.0 / c ** 2) * math.exp(-c * su)
 
     return integrate_full_line(f, decay, spec, frequency=TWO13 * t)
+
+
+TALBOT_M = 30
+_TALBOT_TH = np.arange(1, TALBOT_M) * math.pi / TALBOT_M
+_TALBOT_COT = 1.0 / np.tan(_TALBOT_TH)
+_TALBOT_S = _TALBOT_TH * (_TALBOT_COT + 1j)                       # contour / r
+_TALBOT_SIG = _TALBOT_TH + (_TALBOT_TH * _TALBOT_COT - 1.0) * _TALBOT_COT
+
+
+def h_talbot(a_arr, ts: np.ndarray) -> np.ndarray:
+    """h by fixed-Talbot inversion, (shifts, times): each time its own
+    contour of radius r = 12/t, 29 nodes and a head node on the real axis.
+    A reference for the band contours at modest accuracy (~1e-9 absolute
+    at small shifts), independent of their nodes and weights."""
+    from chernoff import airy
+
+    a_arr = np.atleast_1d(np.asarray(a_arr, dtype=np.float64))
+    ts = np.asarray(ts, dtype=np.float64)
+    r = 2.0 * TALBOT_M / (5.0 * ts)
+    lam = r[:, None] * _TALBOT_S[None, :]
+    xi = 2.0 ** (-1.0 / 3.0) * lam
+    expo = ts[:, None] * lam + airy.log_ai_diff(xi, a_arr[:, None, None])
+    terms = (np.exp(expo) * (1.0 + 1j * _TALBOT_SIG)).real.sum(axis=-1)
+    xi0 = (2.0 ** (-1.0 / 3.0) * r).astype(np.complex128)
+    head = 0.5 * np.exp(ts * r + airy.log_ai_diff(xi0, a_arr[:, None]).real)
+    return (r / TALBOT_M) * (head + terms)
 
 
 def tilted_g_integrand(s: float, A: float):

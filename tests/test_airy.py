@@ -306,10 +306,10 @@ def test_asy_sums_point_alone_equals_its_value_in_a_mixed_batch():
 
 
 def test_log_ai_diff_sums_the_base_series_once_per_base_point(monkeypatch):
-    # Talbot h at 40 shifts: each base point (29 contour nodes and the head
-    # node per time) takes its series once, or twice where some shift moves
-    # it across the sector edge onto the general route, and each broadcast
-    # entry once; summing the base per entry cost 2 x 40 x times x 30
+    # h at 40 shifts on the band contours: each base point (33 nodes per
+    # band the times touch) takes its series once, or twice where some shift
+    # moves it across the sector edge onto the general route, and each
+    # broadcast entry once; summing the base per entry cost 2 x 40 x 33 a band
     from chernoff import densities
 
     count = [0]
@@ -321,8 +321,9 @@ def test_log_ai_diff_sums_the_base_series_once_per_base_point(monkeypatch):
 
     monkeypatch.setattr(airy, "_asy_sums", counted)
     times = np.linspace(0.05, 0.5, 10)
-    densities._h_talbot(np.linspace(0.0, 10.0, 40), times)
-    base = times.size * (densities._TALBOT_M - 1 + 1)
+    densities._h_grid(np.linspace(0.0, 10.0, 40), times)
+    bands = np.unique(-np.frexp(times / densities._RESIDUE_T_MIN)[1])
+    base = bands.size * (densities._H_NODES + 1)
     assert 40 * base < count[0] <= (2 + 40) * base
 
 

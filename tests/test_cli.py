@@ -80,7 +80,7 @@ def test_tabulate_h_laplace_mass(tmp_path):
 
 
 def test_tabulate_h_at_subnormal_times(tmp_path):
-    # the Talbot radius 12/t overflows here; h at x = -1 underflows to 0
+    # a contour's scale ~ 1/t overflows here; h at x = -1 underflows to 0
     out = tmp_path / "h.csv"
     assert run_main("tabulate", "--which", "h", "--x", "-1", "--from", "1e-310",
                     "--to", "3e-310", "--step", "1e-310", "--out", str(out)) == 0
@@ -96,6 +96,22 @@ def test_tabulate_joint2_columns(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "t,a,f"
     assert len(lines) == 1 + 5 * 3
+
+
+def test_tabulate_joint2_equals_the_joint_density_entry_by_entry(tmp_path):
+    # one h grid over all (level, |t|) entries, each entry summed on its
+    # own: the same bits as the density at one point, on both sides of the
+    # contour/residue switch at |t| = 0.9
+    from chernoff.densities import joint_density_two_sided
+
+    out = tmp_path / "j2.csv"
+    assert run_main("tabulate", "--which", "joint2", "--from", "-1.5", "--to", "1.5",
+                    "--step", "0.125", "--a-from", "0.25", "--a-to", "2",
+                    "--a-step", "0.25", "--out", str(out)) == 0
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert data.shape == (25 * 8, 3)
+    for t, a, f in data:
+        assert f == joint_density_two_sided(t, a)
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -39,9 +39,9 @@ from chernoff.quadrature import (
     integrate_interval,
 )
 
-from oracles import (gl_panels, h_density_fourier, integrate_full_line, k_reference,
-                     max_density_fd, phi_reference, phi_residue_reference,
-                     tilted_g_integrand)
+from oracles import (gl_panels, h_density_fourier, h_talbot, integrate_full_line,
+                     k_reference, max_density_fd, phi_reference,
+                     phi_residue_reference, tilted_g_integrand)
 
 
 def ai_ratio_real(znum: float, zden: float) -> float:
@@ -74,8 +74,9 @@ def test_h_nonnegative_on_grid():
 
 
 def test_h_inversion_routes_agree():
-    # Talbot (small t), residue series (large t) and the defining Fourier
-    # integral must describe one function
+    # the band contours (small t), the residue series (large t), a
+    # fixed-Talbot contour and the defining Fourier integral must describe
+    # one function
     for x, t in [(-1.0, 0.5), (-2.0, 2.0), (-0.5, 1.2)]:
         hv = h_density(x, t)
         try:
@@ -86,23 +87,33 @@ def test_h_inversion_routes_agree():
         assert abs(hv - fv) <= fe + 1e-9
     ts = np.linspace(0.5, 2.5, 9)
     a = dens.FOUR13
-    assert np.abs(dens._h_talbot(a, ts) - dens._h_residue(a, ts)).max() < 1e-9
+    assert np.abs(h_talbot(a, ts) - dens._h_residue(a, ts)).max() < 1e-9
 
 
 def test_h_small_time_limit_below_the_talbot_range():
-    # the Talbot contour gives nan below t ~ 1e-205 and its radius 12/t
-    # overflows below ~1e-307; h at x = -1 and -2 underflows there
+    # a contour's scale ~ 1/t overflows at subnormal t; h at x = -1 and -2
+    # underflows there
     ts = np.array([3e-310, 1e-307, 1e-250, 1e-100, 1e-13])
     assert np.all(dens._h_grid([dens.FOUR13, 2.0 * dens.FOUR13], ts) == 0.0)
-    # where the two routes meet they agree, at x^2/(2t) = 0.5 and 5
+    # where the small-time limit meets the band contours they agree, at
+    # x^2/(2t) = 0.5 and 5
     t = np.array([1e-12])
     for m in (0.5, 5.0):
         a = dens.FOUR13 * math.sqrt(2.0 * m * t[0])
-        talbot = dens._h_talbot(a, t)[0, 0]
-        assert abs(dens._h_brownian(a, t)[0, 0] - talbot) <= 1e-11 * talbot
+        band = dens._h_grid(a, t)[0, 0]
+        assert abs(dens._h_brownian(a, t)[0, 0] - band) <= 1e-11 * band
     # and below it h is the driftless first-passage density
     assert dens._h_grid(1e-7 * dens.FOUR13, 1e-14)[0, 0] == pytest.approx(
         bm_first_passage_density(1e-7, 1e-14), rel=1e-14)
+
+
+def test_h_band_contours_match_the_residue_series_below_the_switch():
+    # the residue series converges to rounding from t = 0.5; the band
+    # contours of bands 0 and 1 agree with it there in absolute terms
+    ts = np.linspace(0.5, 0.9, 41)[:-1]
+    for a in (1e-3, 0.05, 0.4, dens.FOUR13, 4.0):
+        gap = np.abs(dens._h_grid(a, ts)[0] - dens._h_residue(a, ts)[0])
+        assert gap.max() <= 1e-12
 
 
 def test_h_fourier_imaginary_part_within_estimate():
@@ -127,6 +138,42 @@ def test_hitting_plus_survival_is_one_on_grid():
             st = StartState(s, x)
             gap = hitting_prob(st) + survival_prob(st) - 1.0
             assert abs(gap) < 1e-9
+
+
+def test_hitting_plus_survival_is_one_next_to_the_barrier():
+    # the passage mass sits at t ~ x^2 here, many bands below the residue
+    # switch; the mass before the left cut is bounded in the error
+    for s in (-1.0, 0.0, 1.0):
+        for x in (-1e-3, -1e-2):
+            st = StartState(s, x)
+            assert abs(hitting_prob(st) + survival_prob(st) - 1.0) <= 5e-11
+
+
+def test_hitting_prob_airy_point_budget(monkeypatch):
+    # from (+-1, -0.25) the adaptive passes touch 10 bands of the h
+    # contour, 33 Airy ratios each, taken once per band in the call; a
+    # contour per time took 7,800
+    count = [0]
+    log_ai_diff = airy.log_ai_diff
+
+    def counted(z, a):
+        count[0] += np.broadcast(np.asarray(z), np.asarray(a)).size
+        return log_ai_diff(z, a)
+
+    monkeypatch.setattr(airy, "log_ai_diff", counted)
+    for s in (-1.0, 1.0):
+        count[0] = 0
+        hitting_prob(StartState(s, -0.25))
+        assert 0 < count[0] <= 400
+
+
+def test_survival_prob_raises_where_the_tilt_swamps_the_g_rule():
+    # e^{(2/3)s^3} times the g rule's 5e-11 error: 1.3e2 at s = 3.5 (the
+    # rule read 0.0, truth 0.755), 7.9e5 at s = 4 (read 1.0, truth 0.799),
+    # and an overflow at s = 12
+    for s in (3.5, 4.0, 12.0):
+        with pytest.raises(dens.ProbabilityRangeError):
+            survival_prob(StartState(s, -0.1))
 
 
 def test_hitting_prob_near_barrier_tends_to_one():

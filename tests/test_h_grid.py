@@ -1,6 +1,8 @@
 """The passage kernel on (shift, time) grids: a property test and the
 residue route against a high-precision reference."""
 
+import tracemalloc
+
 import numpy as np
 import scipy.special
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from chernoff import airy
 from chernoff import densities as dens
 
 _SHIFTS = st.lists(st.floats(0.0, 12.0), min_size=1, max_size=4)
-# both sides of the Talbot/residue switch at t = 0.9, and t <= 0
+# both sides of the contour/residue switch at t = 0.9, and t <= 0
 _EARLY = st.lists(st.one_of(st.floats(-1.0, 0.0),
                             st.floats(0.01, 0.9, exclude_max=True)),
                   min_size=1, max_size=3)
@@ -30,6 +32,22 @@ def test_h_grid_rows_and_columns_match_single_evaluations(a, early, late):
     for j, tj in enumerate(t):
         np.testing.assert_allclose(grid[:, j], dens._h_grid(a, tj)[:, 0],
                                    rtol=1e-13, atol=0.0)
+
+
+def test_h_grid_blocks_bound_memory_not_values():
+    # 200 shifts x 2,000 times of one band would be 211 MB of complex
+    # contour terms at once; in blocks of 4,096 (shift, time) entries the
+    # peak stays near the 3.2 MB grid, and each entry is still its own sum
+    a = np.linspace(0.0, 5.0, 200)
+    t = np.linspace(0.46, 0.89, 2000)
+    tracemalloc.start()
+    try:
+        grid = dens._h_grid(a, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
+    assert np.array_equal(grid[:, 1234], dens._h_grid(a, t[1234])[:, 0])
 
 
 # sum_k 2^{1/3} Ai(a_k + a) / Ai'(a_k) exp(2^{1/3} t a_k) over the first 150
@@ -55,7 +73,7 @@ def test_residue_numerators_send_no_point_below_the_switch_to_amos(monkeypatch):
     # residue numerators below x = -8 come from ai_real's Poincare sums;
     # the cached zeros and their Ai' stay on AMOS, so the caches fill first
     levels = np.arange(1, 11) * 0.2
-    ops = (lambda: dens.psi(1.3), lambda: dens._joint_two_sided_row(1.5, levels))
+    ops = (lambda: dens.psi(1.3), lambda: dens._joint_two_sided_grid(1.5, levels))
     for op in ops:
         op()
     real_airy = scipy.special.airy

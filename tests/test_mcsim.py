@@ -220,6 +220,16 @@ def test_short_last_coarse_interval(dt, tail):
     assert ks < 1.63 / math.sqrt(len(s)) + 0.003
 
 
+def test_pure_bm_passage_runs_to_the_last_edge_whatever_t_max():
+    # every passage after PUREBM_UPPER is censored, so a longer t_max
+    # draws nothing that the histogram keeps
+    short = mcsim.simulate_pure_bm_passage(1.0, replace(BENCH_CFG, t_max=5.0))
+    long = mcsim.simulate_pure_bm_passage(1.0, replace(BENCH_CFG, t_max=40.0))
+    assert np.array_equal(short.edges, long.edges)
+    assert np.array_equal(short.counts, long.counts)
+    assert short.censored == long.censored and short.n_paths == long.n_paths
+
+
 def test_pure_bm_passage_law_with_a_short_last_interval():
     # dt = 3e-3 and t_max = 5 give 1667 steps: the remainder of 3 steps
     # makes two last coarse intervals, of 2 steps and of 1

@@ -204,3 +204,12 @@ def test_k_barrier_asymptote_passes_strict_and_rejects_a_scaled_k(monkeypatch):
     k_rule = dens._k_rule
     monkeypatch.setattr(dens, "_k_rule", lambda t: k_rule(t) * (1.0 + 1e-5))
     assert not asymptote().passed
+
+
+def test_moment_relation_catches_a_1e_7_error_in_the_max_mean(monkeypatch):
+    # E tau_M^2 = E M / 3 holds to about 3e-12; the check's 1e-8 catches
+    # a relative error of 1e-7 in either side
+    assert verify.check_moment_relation().passed
+    mean = dens.max_mean_two_sided
+    monkeypatch.setattr(dens, "max_mean_two_sided", lambda: mean() * (1.0 + 1e-7))
+    assert not verify.check_moment_relation().passed
