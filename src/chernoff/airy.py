@@ -34,7 +34,7 @@ import math
 import numpy as np
 import scipy.special
 
-from .quadrature import gauss_legendre_panels
+from .quadrature import gauss_legendre_panels, truncation
 
 __all__ = [
     "AiryOverflowError",
@@ -42,6 +42,8 @@ __all__ = [
     "ai_real",
     "log_ai_many",
     "log_ai_diff",
+    "log_ai_and_ratio",
+    "hi_lines",
     "scorer_hi",
     "incomplete_hi",
     "u_lambda",
@@ -196,6 +198,18 @@ def log_ai_many(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def log_ai_and_ratio(z: np.ndarray):
+    """log Ai(z) and Ai'(z)/Ai(z) for z != 0, |ph z| <= pi/2, from one call
+    of the scaled K_{1/3} and K_{2/3} (DLMF 9.6.1-2: Ai(z) = sqrt(z/3)
+    K_{1/3}(zeta)/pi, Ai'(z) = -z K_{2/3}(zeta)/(pi sqrt 3))."""
+    z = np.asarray(z, dtype=np.complex128)
+    sq = np.sqrt(z)
+    zeta = (2.0 / 3.0) * z * sq
+    k13, k23 = scipy.special.kve(np.array([1.0, 2.0]).reshape((2,) + (1,) * z.ndim) / 3.0,
+                                 zeta)
+    return 0.5 * np.log(z / 3.0) - _LOG_PI + np.log(k13) - zeta, -sq * k23 / k13
+
+
 _DIFF_SAFE_RADIUS = 16.0
 
 
@@ -268,39 +282,80 @@ def log_ai_diff(z: np.ndarray, shift) -> np.ndarray:
 # Scorer functions
 # ----------------------------------------------------------------------------
 
-def _exp_cubic_integral(z: complex, lo: float) -> complex:
-    """(1/pi) int_lo^inf exp(t z - t^3/3) dt by composite Gauss-Legendre."""
-    z = complex(z)
-    rex = max(z.real, 0.0)
-    # upper cutoff: cubic decay beats the linear growth by ~43 e-foldings
-    hi = max(lo + 1.0, 2.0 * math.sqrt(rex) if rex > 0 else 0.0, 3.0)
-    for _ in range(60):
-        gain = hi ** 3 / 3.0 - z.real * hi
-        ref = (2.0 / 3.0) * rex ** 1.5 if rex > 0 else 0.0
-        if gain >= 43.0 + ref and gain >= 43.0 + abs(z.real) * abs(lo) + lo ** 3 / 3.0 * (lo < 0):
-            break
-        hi += 1.0
-    peak = math.sqrt(rex) if rex > 0 else 0.0
-    cand = [lo, hi]
-    if lo < peak < hi:
-        cand.append(peak)
-    m = max(t * z.real - t ** 3 / 3.0 for t in cand)
-    if m > 690.0:
-        raise AiryOverflowError("Scorer integral overflows float64")
-    width = min(0.5, math.pi / (4.0 * max(1.0, abs(z.imag))))
-    n_panel = max(8, int(math.ceil((hi - lo) / width)))
-    t, w = gauss_legendre_panels(lo, hi, 16, n_panel)
-    return complex(np.sum(np.exp(t * z - t ** 3 / 3.0) * w) / math.pi)
+_HI_FALL = 40.0    # e-folds under its peak where the t rule of Hi stops
+_HI_NODES = 32     # Gauss-Legendre nodes per t panel
+_HI_REACH = 64.0   # panel width times the exponent's largest rate of change
 
 
-def scorer_hi(z: complex) -> complex:
-    """Scorer Hi(z) = (1/pi) int_0^inf exp(t z - t^3/3) dt."""
-    return _exp_cubic_integral(z, 0.0)
+def _hi_reach(c: float, s0: float) -> tuple[float, float]:
+    """The peak P of E(t) = t c - t^3/3 on [s0, inf), and the last t there
+    where E is 40 e-folds under P, by `truncation` on a falling branch:
+    right of t0 = max(s0, sqrt c) if E(t0) is above P - 40, where E(t) <=
+    E(t0) - (t - t0)^3/12, else left of -sqrt c."""
+    top = math.sqrt(c) if c > 0.0 else -math.inf
+
+    def expo(t):
+        return t * c - t ** 3 / 3.0
+
+    peak = max(expo(s0), expo(top) if top > s0 else -math.inf)
+    lo = max(s0, top)
+    rise = expo(lo) - peak + _HI_FALL
+    hi = lo + (12.0 * rise) ** (1.0 / 3.0) if rise > 0.0 else -top
+    return peak, truncation(expo, peak - _HI_FALL, lo if rise > 0.0 else s0, hi)[0]
+
+
+def hi_lines(c, u, s0: float):
+    """Hi(w; s0) = (1/pi) int_{s0}^inf e^{tw - t^3/3} dt and d/dw Hi(w; s0)
+    on the lines w = c_k + i u_j, each scaled by e^{s0^3/3 - m_k}, m_k the
+    whole part of the peak P_k of t c_k - (t^3 - s0^3)/3 on [s0, inf), so
+    that neighbouring lines share it.  The exponent is taken as s0 c_k +
+    d (c_k - (t^2 + t s0 + s0^2)/3) at t = s0 + d, free of the cancellation
+    of t^3/3 and s0^3/3.  One composite Gauss-Legendre rule serves every
+    line: on [s0, T], T the last t where a line's exponent is 40 e-folds
+    under its peak, 32 nodes a panel, the panels sized to the exponents'
+    slope plus max |u|; panel p holds t = centre_p + h x_j, so one matrix
+    e^{iuhx} serves every panel and line.  Returns m (K,), the scaled Hi
+    and dHi (K, len(u)), and bounds (2, K) on their scaled parts past T:
+    there each exponent is at most P_k - 40, and from tau_k = max(T, 1 +
+    sqrt c_k) on it falls at least as fast as its tangent, of slope
+    -(tau_k^2 - c_k) <= -1."""
+    c = np.atleast_1d(np.asarray(c, dtype=np.float64))
+    u = np.asarray(u, dtype=np.float64)
+    peak, ends = np.array([_hi_reach(ck, s0) for ck in c.tolist()]).T
+    peak = peak + s0 ** 3 / 3.0
+    T, m = float(ends.max()), np.floor(peak)
+    slope = np.abs(c - np.array([[s0 * s0], [T * T], [0.0 if s0 < 0.0 < T else s0 * s0]]))
+    n_panel = max(1, math.ceil((T - s0) * (slope.max() + np.abs(u).max(initial=0.0))
+                               / _HI_REACH))
+    x, w = gauss_legendre_panels(-1.0, 1.0, _HI_NODES, 1)
+    h = 0.5 * (T - s0) / n_panel
+    mid = 2.0 * np.arange(n_panel) + 1.0
+    d = h * (mid[:, None] + x)                             # (panels, nodes)
+    t = s0 + d
+    g = (h / math.pi) * w * np.exp(s0 * c[:, None, None] - m[:, None, None] + d * (
+        c[:, None, None] - (t * t + t * s0 + s0 * s0) / 3.0))
+    inner = np.exp(1j * np.outer(u, h * x)) @ np.concatenate([g, t * g]).transpose(0, 2, 1)
+    both = (np.exp(1j * np.outer(u, s0 + h * mid)) * inner).sum(axis=-1)
+    tau = np.maximum(T, 1.0 + np.sqrt(np.maximum(c, 0.0)))
+    fall, d = np.exp(peak - _HI_FALL - m) / math.pi, tau * tau - c
+    cut = fall * np.array([tau - T + 1.0 / d,
+                           (tau - T) * np.maximum(tau, abs(T)) + tau / d + 1.0 / d ** 2])
+    return m, both[:c.size], both[c.size:], cut
 
 
 def incomplete_hi(z: complex, s: float) -> complex:
     """Lower-truncated Scorer integral (1/pi) int_s^inf exp(t z - t^3/3) dt."""
-    return _exp_cubic_integral(z, float(s))
+    z = complex(z)
+    m, hi, _, _ = hi_lines(z.real, [z.imag], float(s))
+    scale = m[0] - float(s) ** 3 / 3.0
+    if scale > 690.0:
+        raise AiryOverflowError("Scorer integral overflows float64")
+    return complex(math.exp(scale) * hi[0, 0])
+
+
+def scorer_hi(z: complex) -> complex:
+    """Scorer Hi(z) = (1/pi) int_0^inf exp(t z - t^3/3) dt."""
+    return incomplete_hi(z, 0.0)
 
 
 # ----------------------------------------------------------------------------

@@ -29,7 +29,9 @@ next to a fixed-Talbot contour per time.
 ``phi`` is the residue series over the Airy zeros below t = -1, and
 e^{-(2/3) t^3} k(t, 0) from there on, with k a trapezoid sum on a saddle line
 per band of t; nothing caches it.  ``g`` has one rule, a fixed Kronrod sum
-on quarter-period u panels under Gauss blocks in y, cached at s = 0.
+on quarter-period u panels of the source paper's incomplete-Scorer form of
+the y integral; the g(0, .) model takes the y integrand at Gauss blocks in
+y once, apart from it.
 """
 
 from __future__ import annotations
@@ -189,7 +191,7 @@ def _h_brownian(a_arr, ts: np.ndarray) -> np.ndarray:
                       - 1.5 * np.log(ts) - x * x / (2.0 * ts))
 
 
-def _h_kernel(a_arr):
+def _h_kernel(a_arr, t_min: float = 0.0):
     """h at the Airy shifts a = -4^{1/3} x >= 0 as a function of time: it
     maps times to the (len(a), len(t)) grid, 0 at t <= 0, the small-time
     limit below 1e-12, from there the contour of each time's band, and the
@@ -197,14 +199,19 @@ def _h_kernel(a_arr):
     grid, its rows and its columns agree bit for bit.  The Airy ratios at a
     band's nodes are taken once, in one call for the bands that a time
     array opens, and kept while the function lives: an adaptive integral
-    over t pays for each band once, not for each time."""
+    over t pays for each band once, not for each time.  The first call also
+    opens every band from t_min's to band 0, so an integral over times from
+    t_min on makes one Airy call."""
     a_arr = np.atleast_1d(np.asarray(a_arr, dtype=np.float64))
     ratios = {}  # band -> log Ai(2^{-1/3} z + a) - log Ai(2^{-1/3} z), (shifts, nodes)
+    first = (-math.frexp(max(t_min, _H_T_MIN) / _RESIDUE_T_MIN)[1]
+             if 0.0 < t_min < _RESIDUE_T_MIN else -1)
 
     def contour(ts):
         band = -np.frexp(ts / _RESIDUE_T_MIN)[1]
         bands = [int(k) for k in np.unique(band)]
-        todo = [k for k in bands if k not in ratios]
+        todo = [k for k in sorted(set(bands).union(range(first + 1)))
+                if k not in ratios]
         if todo:
             z = np.concatenate([_h_band(k)[0] for k in todo])
             logr = airy.log_ai_diff(z[None, :] / TWO13, a_arr[:, None])
@@ -322,7 +329,7 @@ def hitting_prob(state: StartState, spec: QuadratureSpec | None = None) -> float
     a = state.shift
     T, tail = _passage_horizon(s, x, a, spec.abs_tol / 2.0)
     tau0, head = _passage_head(s, x, T, spec.abs_tol / 4.0)
-    h = _h_kernel(a)
+    h = _h_kernel(a, tau0)
 
     def f(tau):
         return np.exp(2.0 * s * x - _cubic_gap(s, tau)) * h(tau)[0]
@@ -350,85 +357,84 @@ def _y_cap(s: float) -> float:
     return max(3.0, y)
 
 
-# Gauss-Legendre nodes per y block: on the y-rule test's grid (s in
-# [-2, 2], A from 0.05 to the _y_cap limit) 10 agree with 32 within 5.5e-16
-# and with 8 within 1.1e-15, relative to max(1, g).  At s = -4 every rule
-# from 8 to 32 nodes agrees within 1.1e-14, the rounding of the u integral
-# there.  The g(0, .) model takes 24: with 16 its g' jumps 6.6e-12 relative
-# across y = 16, where f falls e^4 per block.
-_Y_NODES = 10
-_G0_Y_NODES = 24
 _G_SPEC = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9)
-# (y, u) entries per log_ai_diff call of the g rule, in whole y blocks: the
-# g(0, .) model's 61,200 entries go in one call (a 17 MB peak), p(-3)'s
-# 1.2 M in 27 calls of at most 44,400
-_G_CHUNK = 1 << 16
+# the u cut's share of g's error: far under the budget, for one panel more
+# than a cut at 5e-11, so g reads within 1e-14 of a 1e-14 reference
+_G_TAIL = 1e-12
 
 
-def _g_rule(s: float, A: float, nodes: int):
-    """The one rule for g(s, .) to barrier width A.  The inner integral
-    f(y) = (1/2pi) int exp(-2^{1/3} s (iu+y)) Ai(iu+y) / Ai(iu)^2 du is 2 Re
-    of its Hermitian integrand over Kronrod 15 panels on (0, U], each a
-    quarter period of the tilt factor e^{-i 2^{1/3} s u} wide,
-    pi / (2 max(1, 2^{1/3} |s|)), taken at `nodes` Gauss nodes in each y
-    block [k, min(k + 1, A)].
-    Returns the block edges, f at the nodes (nodes, blocks), and the
-    integral to A, whose err_estimate is the panels' Kronrod 15 - Gauss 7
-    differences integrated in y plus the tail bound; an estimate past abs
-    1e-10 / rel 1e-9 raises a budget error."""
-    tilt = TWO13 * max(0.0, -s) * A
-    if tilt + math.log(max(A, 1.0)) > 709.0:  # the tail bound overflows
-        raise QuadratureBudgetError(QuadratureResult(math.nan, math.inf, 0))
-    grow = math.exp(tilt) * max(A, 1.0)
-    U, tail = truncation(lambda U: grow * airy_ratio_tail_bound(U) / (2.0 * math.pi),
-                         _G_SPEC.abs_tol / 2.0)
-    edges = panel_edges(0.0, U, math.pi / (2.0 * max(1.0, TWO13 * abs(s))),
-                        _G_SPEC)
-    yg, wg = np.polynomial.legendre.leggauss(nodes)
-    y_edges = np.minimum(np.arange(math.ceil(A) + 1.0), A)
-    half = 0.5 * np.diff(y_edges)
-    y = y_edges[:-1] + half * (yg[:, None] + 1.0)   # (nodes, blocks)
+def _g_tail(s: float, A: float | None):
+    """Bound on the folded u integral past U >= 5 of the g integrand
+    e^{-beta^3/3} W(z + A) / Ai(z)^2 (`tilted_g`), as a function of U.  By
+    the Scorer relation that is e^{-beta^3/3} W(z) / Ai^2 - I / pi Ai^2, I =
+    int_0^A e^{-beta (z + y)} Ai(z + y) dy.  As Re sqrt(iu + y) >= sqrt(u/2),
+    |I| <= |Ai(iu)| int_0^A e^{-kappa y} dy, kappa = beta + sqrt(u/2), to the
+    Poincare series' first term (A = None needs kappa > 0); by parts in t,
+    e^{-beta^3/3} |Hi(iu; -beta)| <= 3 / pi u and |d/dz Hi| <= 2 (|beta| +
+    1) / pi u likewise, and |Ai'/Ai| <= sqrt u + 1.  The sum falls in u, and
+    `airy_ratio_tail_bound` integrates 1 / |Ai(iu)| with its 4x margin."""
+    beta = TWO13 * s
 
-    base = []  # log Ai(iu), the same in every chunk
+    def decay(U):
+        kappa = beta + math.sqrt(0.5 * U)
+        if A is None or -kappa * A > 700.0:
+            if not kappa > 0.0:
+                return math.inf
+            span = 1.0 / kappa
+        else:
+            span = -math.expm1(-kappa * A) / kappa if kappa else A
+        hi = (3.0 * math.sqrt(U) + 2.0 * abs(beta) + 5.0) / U
+        return airy_ratio_tail_bound(U) * (span + hi) / math.pi
 
-    def f_u(yc):
-        def f(u):
-            zu = 1j * u
-            if not base:
-                base.append(airy.log_ai_many(zu))
-            return np.exp(airy.log_ai_diff(zu, yc) - base[0]
-                          - TWO13 * s * (zu + yc)).real / math.pi
-        return f
-
-    # whole y blocks per call, at most _G_CHUNK (y, u) entries: each row's
-    # panel sums are the same, so only the memory depends on the chunking
-    step = max(1, _G_CHUNK // (nodes * 15 * (edges.size - 1)))
-    parts = [kronrod_panels(f_u(y[:, j:j + step].reshape(-1, 1)),
-                            edges[:-1], edges[1:])
-             for j in range(0, y.shape[1], step)]
-    vk, vg = (np.concatenate([p[i].reshape(nodes, -1, edges.size - 1)
-                              for p in parts], axis=1).reshape(y.size, -1)
-              for i in (0, 1))
-    f, wy = vk.sum(axis=1), (half * wg[:, None]).ravel()
-    value, err = float(wy @ f), float(np.abs(wy @ (vk - vg)).sum()) + tail
-    res = QuadratureResult(value, err, 15 * vk.shape[1])
-    if not err <= max(_G_SPEC.abs_tol, _G_SPEC.rel_tol * abs(value)):
-        raise QuadratureBudgetError(res)
-    return y_edges, f.reshape(nodes, -1), res
+    return decay
 
 
 def tilted_g(s: float, barrier_width: float | None) -> QuadratureResult:
     """(1/2pi) int du [int_0^A exp(-2^{1/3} s (iu+y)) Ai(iu+y) dy] / Ai(iu)^2.
 
     This equals exp(2sx) g(s, x) for A = -4^{1/3} x; ``barrier_width=None``
-    takes A = infinity, which is the Laplace-limit function p(s).  The
-    value is the g rule (`_g_rule`) at _Y_NODES nodes per y block.
+    takes A = infinity, which is the Laplace-limit function p(s).  By the
+    source paper's incomplete-Scorer relation the y integral is pi
+    e^{-beta^3/3} [W(z) - W(z + A)], z = iu, beta = 2^{1/3} s, W = Ai'
+    Hi(.; -beta) - Ai d/dz Hi(.; -beta), with W(z + A) = -1/pi (the
+    Wronskian of Ai and Bi) for A = None or A at or past `_y_cap`.  The W(z)
+    part is i e^{-beta^3/3} d/du (Hi / Ai)(iu), real at u = 0, so past U it
+    folds to e^{-beta^3/3} Im (Hi / Ai)(iU), added in; the rest is 2 Re of
+    the Hermitian integrand over Kronrod 15 panels on (0, U], a quarter
+    period of the tilt e^{-i beta u} wide.  The err_estimate adds the
+    panels' Kronrod 15 - Gauss 7 differences, the tail bound `_g_tail` and
+    the cut of the t rule (`airy.hi_lines`); a tail past 1e-12 raises a
+    budget error before any Airy evaluation, an estimate past abs 1e-10 /
+    rel 1e-9 after it.
     """
-    cap = _y_cap(s)
-    A = cap if barrier_width is None else min(float(barrier_width), cap)
-    if A <= 0.0:
+    A = None if barrier_width is None or barrier_width >= _y_cap(s) else barrier_width
+    if A is not None and A <= 0.0:
         return QuadratureResult(0.0, 0.0, 0)
-    return _g_rule(s, A, _Y_NODES)[2]
+    beta = TWO13 * s
+    U, tail = truncation(_g_tail(s, A), _G_TAIL)
+    if not tail <= _G_TAIL:
+        raise QuadratureBudgetError(QuadratureResult(math.nan, math.inf, 0))
+    edges = panel_edges(0.0, U, math.pi / (2.0 * max(1.0, abs(beta))), _G_SPEC)
+    lines = np.array([0.0] if A is None else [0.0, A])
+
+    def f(u):
+        m, hi, dhi, cut = airy.hi_lines(lines, u, -beta)
+        log_ai, ratio = airy.log_ai_and_ratio(lines[:, None] + 1j * u)
+        # e^{-beta^3/3} W / Ai(z)^2 on each line, from its log-scaled parts
+        scale = np.exp(m[:, None] + log_ai - 2.0 * log_ai[0])
+        w = scale * (ratio * hi - dhi)
+        far = w[1] if A is not None else -np.exp(-beta ** 3 / 3.0 - 2.0 * log_ai[0]) / math.pi
+        bound = np.abs(scale) * (np.abs(ratio) * cut[0][:, None] + cut[1][:, None])
+        return np.stack([(w[0] - far).real, bound.sum(axis=0)])
+
+    (vk, ck), (vg, _) = kronrod_panels(f, edges[:-1], edges[1:])
+    m, hi, _, _ = airy.hi_lines(0.0, [U], -beta)
+    rest = (np.exp(m[0] - airy.log_ai_many(1j * U)[0]) * hi[0, 0]).imag
+    err = float(np.abs(vk - vg).sum() + ck.sum()) + tail
+    res = QuadratureResult(float(vk.sum() + rest), err, 15 * vk.size)
+    if not err <= max(_G_SPEC.abs_tol, _G_SPEC.rel_tol * abs(res.value)):
+        raise QuadratureBudgetError(res)
+    return res
 
 
 _SURVIVAL_ERR = 1e-6  # largest scaled error estimate survival_prob returns with
@@ -563,19 +569,35 @@ def chernoff_cdf(t) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 _G0_DOMAIN = 10.5
+# Gauss-Legendre nodes per y block of the g(0, .) model: with 16 its g'
+# jumps 6.6e-12 relative across y = 16, where f falls e^4 per block
+_G0_Y_NODES = 24
 
 
 @lru_cache(maxsize=1)
 def _g0_interp():
     """The one model of x -> g(0, -x) on [0, 10.5], for psi and the
-    two-sided laws: at s = 0 only the upper y limit A = 4^{1/3} x depends on
-    x, so the g rule built once to A = 4^{1/3} 10.5 serves every x.  Returns
-    the y block edges, the whole-block prefix integrals, and per block the
-    Legendre coefficients of f's interpolant and of its antiderivative."""
-    y_edges, f, _ = _g_rule(0.0, FOUR13 * _G0_DOMAIN, _G0_Y_NODES)
+    two-sided laws, apart from `tilted_g`: at s = 0 only the upper y limit
+    A = 4^{1/3} x depends on x, so f(y) = (1/2pi) int Ai(iu+y) / Ai(iu)^2
+    du, 2 Re of its Hermitian integrand over Kronrod 15 panels pi/2 wide on
+    (0, U], taken once at 24 Gauss nodes in each unit y block up to A =
+    4^{1/3} 10.5, serves every x.  Returns the y block edges, the
+    whole-block prefix integrals, and per block the Legendre coefficients
+    of f's interpolant and of its antiderivative."""
+    A = FOUR13 * _G0_DOMAIN
+    U, _ = truncation(lambda U: A * airy_ratio_tail_bound(U) / (2.0 * math.pi),
+                      _G_SPEC.abs_tol / 2.0)
+    edges = panel_edges(0.0, U, math.pi / 2.0, _G_SPEC)
     leg = np.polynomial.legendre
     yg, wg = leg.leggauss(_G0_Y_NODES)
+    y_edges = np.minimum(np.arange(math.ceil(A) + 1.0), A)
     half = 0.5 * np.diff(y_edges)
+    y = (y_edges[:-1] + half * (yg[:, None] + 1.0)).reshape(-1, 1)  # node-major
+
+    def f_u(u):
+        return np.exp(airy.log_ai_diff(1j * u, y) - airy.log_ai_many(1j * u)).real / math.pi
+
+    f = kronrod_panels(f_u, edges[:-1], edges[1:])[0].sum(axis=1).reshape(_G0_Y_NODES, -1)
     coef = np.linalg.solve(leg.legvander(yg, _G0_Y_NODES - 1), f)
     prefix = np.concatenate([[0.0], np.cumsum(half * (wg @ f))])
     return y_edges, prefix, coef, half * leg.legint(coef, lbnd=-1.0)

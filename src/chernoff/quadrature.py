@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -230,6 +231,9 @@ def airy_ratio_tail_bound(U: float) -> float:
     return 2.0 * 4.0 * math.sqrt(math.pi) * env  # both tails, 4x margin
 
 
+_leggauss = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
+
+
 def gauss_legendre_panels(a: float, b: float, nodes: int, n_panels: int):
     """Fixed composite Gauss-Legendre rule on [a, b]: n_panels equal panels
     with a ``nodes``-point rule each.
@@ -237,7 +241,7 @@ def gauss_legendre_panels(a: float, b: float, nodes: int, n_panels: int):
     Returns flat (points, weights), panel by panel; used for inner
     integrals where adaptivity would feed noise into an outer adaptive pass.
     """
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _leggauss(nodes)
     edges = np.linspace(a, b, n_panels + 1)
     lo, hi = edges[:-1, None], edges[1:, None]
     pts = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x[None, :]

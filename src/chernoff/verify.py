@@ -24,7 +24,7 @@ from . import densities as dens
 from . import mcsim
 from .densities import StartState
 from .quadrature import (QuadratureBudgetError, QuadratureSpec, airy_ratio_tail_bound,
-                         integrate_interval, truncation)
+                         gauss_legendre_panels, integrate_interval, truncation)
 
 __all__ = [
     "CheckReport",
@@ -38,6 +38,7 @@ __all__ = [
     "check_laplace_roundtrip",
     "check_survival_tilt_limit",
     "check_incomplete_scorer_ode",
+    "check_scorer_y_relation",
     "check_chernoff_density",
     "check_moment_relation",
     "MC_CHECKS",
@@ -331,6 +332,30 @@ def check_incomplete_scorer_ode(profile: float = 1.0) -> list[CheckReport]:
                                   ("incomplete_hi_ode", False))]
 
 
+_SCORER_Y_POINTS = ((1.26, 2j, 1.59), (-1.26, 0.5j, 0.4), (2.5, 1 + 1j, 0.05),
+                    (0.63, 0.1j, 12.0), (-3.78, 3j, 6.0), (-2.0, 10j, 0.05))
+
+
+def check_scorer_y_relation(profile: float = 1.0) -> CheckReport:
+    """The source paper's incomplete-Scorer relation that `tilted_g` rests
+    on, int_0^A e^{-beta y} Ai(z + y) dy = pi e^{z beta - beta^3/3} [W(z) -
+    W(z + A)], W = Ai' Hi(.; -beta) - Ai d/dz Hi(.; -beta): the left side a
+    20-point Gauss-Legendre sum of `log_ai_many` on panels 1/4 wide, the
+    right side `hi_lines` and `log_ai_and_ratio`; the worst error relative
+    to max(1, the largest of the four bracket terms)."""
+    t0 = time.perf_counter()
+    worst = 0.0
+    for beta, z, A in _SCORER_Y_POINTS:
+        y, w = gauss_legendre_panels(0.0, A, 20, math.ceil(4.0 * A))
+        lhs = np.sum(w * np.exp(airy.log_ai_many(z + y) - beta * y))
+        m, hi, dhi, _ = airy.hi_lines([z.real, z.real + A], [z.imag], -beta)
+        log_ai, ratio = airy.log_ai_and_ratio(np.array([z, z + A]))
+        terms = math.pi * np.exp(z * beta + m + log_ai) * np.array([ratio * hi[:, 0], -dhi[:, 0]])
+        err = abs(lhs - terms[:, 0].sum() + terms[:, 1].sum())
+        worst = max(worst, err / max(1.0, float(np.abs(terms).max())))
+    return CheckReport.build("scorer_y_relation", 0.0, worst, _scaled(1e-12, profile), t0)
+
+
 def check_chernoff_density(profile: float = 1.0) -> list[CheckReport]:
     """Symmetry of f_Z, its unit trapezoid mass on [-3, 3] at step 0.01, and
     its log-concavity (Balabdaoui & Wellner, Bernoulli 2014): the largest
@@ -436,7 +461,7 @@ SUITES = {
     "airy": ("wronskian", "connection", "regime_continuity"),
     "identities": ("airy_inverse_square", "master_relation", "psi_phi",
                    "laplace_roundtrip", "survival_tilt_limit", "incomplete_scorer_ode",
-                   "chernoff_density", "moment_relation"),
+                   "scorer_y_relation", "chernoff_density", "moment_relation"),
     "pde": ("pde_residuals",),
 }
 
@@ -451,6 +476,7 @@ _CHECKS: dict[str, Callable[[float], object]] = {
     "laplace_roundtrip": check_laplace_roundtrip,
     "survival_tilt_limit": check_survival_tilt_limit,
     "incomplete_scorer_ode": check_incomplete_scorer_ode,
+    "scorer_y_relation": check_scorer_y_relation,
     "chernoff_density": check_chernoff_density,
     "moment_relation": check_moment_relation,
 }

@@ -198,6 +198,25 @@ def test_incomplete_hi_matches_defining_integral_generic():
     assert abs(incomplete_hi(z, 0.5) - target) < 1e-10
 
 
+@pytest.mark.parametrize("beta", np.linspace(-6.0, 5.0, 7))
+def test_hi_lines_satisfy_the_scorer_y_relation(beta):
+    # int_0^A e^{-beta y} Ai(z + y) dy = pi e^{z beta - beta^3/3} [W(z) -
+    # W(z + A)], W = Ai' Hi(.; -beta) - Ai d/dz Hi(.; -beta), on z = iu:
+    # 7 beta x 4 A x 5 u = 140 cases, the left side by 40-point Gauss-
+    # Legendre panels, Ai and Ai' from AMOS, relative to the larger of the
+    # left side and the largest bracket term
+    for A in (0.05, 1.0, 5.0, 20.0):
+        for u in np.linspace(0.0, 20.0, 5):
+            z = 1j * u
+            lhs = gl_panels(lambda y: np.exp(airy.log_ai_many(z + y.ravel()).reshape(y.shape)
+                                             - beta * y), 0.0, A, math.ceil(2.0 * A))
+            ai, aip, _, _ = scipy.special.airy(np.array([z, z + A]))
+            m, hi, dhi, _ = airy.hi_lines([0.0, A], [u], -beta)
+            terms = math.pi * np.exp(z * beta + m) * np.array([aip * hi[:, 0], -ai * dhi[:, 0]])
+            err = abs(lhs - terms[:, 0].sum() + terms[:, 1].sum())
+            assert err <= 1e-12 * max(abs(lhs), np.abs(terms).max())
+
+
 # ----------------------------------------------------------------------------
 # u_lambda
 # ----------------------------------------------------------------------------

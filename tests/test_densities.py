@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings, strategies as hst
 
 from chernoff import airy
@@ -30,6 +31,7 @@ from chernoff.densities import (
     survival_prob,
     tabulate,
     tilted_g,
+    tilted_g_limit,
 )
 from chernoff.quadrature import (
     QuadratureBudgetError,
@@ -279,8 +281,10 @@ def test_start_state_rejects_levels_above_the_barrier_and_non_finite(sx):
 
 @pytest.mark.parametrize("s, x", [(-0.73, -0.41), (0.37, -1.63)])
 def test_folded_tilted_g_matches_the_full_line(s, x):
+    # the Scorer rule is not the folded y-integral integrand, so the
+    # full-line reference must be tighter than the 1e-13 it is held to
     A = -dens.FOUR13 * x
-    spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9)
+    spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14)
     f, decay = tilted_g_integrand(s, A)
     full = integrate_full_line(f, decay, spec, frequency=dens.TWO13 * abs(s))
     folded = tilted_g(s, A)
@@ -290,9 +294,9 @@ def test_folded_tilted_g_matches_the_full_line(s, x):
 
 @pytest.mark.parametrize("s", [-4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0])
 def test_tilted_g_within_its_error_estimate_of_the_reference(s):
-    # the block rule against the full-line reference integrand at 1e-13,
-    # off the unit y blocks' edges and at the _y_cap limit; at |s| = 4 up to
-    # A = 1.6, past which the reference misses 1e-13 at s = -4
+    # the Scorer rule against the full-line reference integrand at 1e-13,
+    # below and at the _y_cap limit; at |s| = 4 up to A = 1.6, past which the
+    # reference misses 1e-13 at s = -4
     spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13)
     for A in (0.3, 2.5, dens._y_cap(s)) if abs(s) <= 2.0 else (0.3, 1.6):
         got = tilted_g(s, A)
@@ -303,9 +307,10 @@ def test_tilted_g_within_its_error_estimate_of_the_reference(s):
 
 @pytest.mark.parametrize("s, A", [(-8.0, None), (400.0, 1.0)])
 def test_tilted_g_past_its_reach_raises(s, A):
-    # s = -8: exp(2^{1/3} 8 A) overflows at A = _y_cap(-8), so no tail bound
-    # holds; s = 400: more quarter-period u panels than the budget (from
-    # about s = 370 at A = 1).  Both raise before any Airy evaluation.
+    # s = -8: the tail bound needs sqrt(U/2) > 2^{1/3} 8, U > 203, past the
+    # truncation's reach; s = 400: more quarter-period u panels than the
+    # budget (from about s = 370 at A = 1).  Both raise before any Airy
+    # evaluation.
     with pytest.raises(QuadratureBudgetError) as info:
         tilted_g(s, A)
     assert info.value.result.evaluations == 0
@@ -339,21 +344,20 @@ def test_folded_integrands_are_hermitian_bitwise():
 
 @pytest.mark.parametrize("s", [-4.0, -2.0, -0.73, 0.0, 0.37, 0.5, 2.0])
 def test_tilted_g_inner_y_rule_has_converged(s, monkeypatch):
-    # tilted_g's err_estimate covers the u integral only; agreement of the
-    # shipped y rule with both a finer and a coarser one shows the y rule
-    # contributes nothing at the scale of double rounding
+    # the inner y integral is the Scorer relation, whose Hi values come from
+    # the t rule of airy.hi_lines; tilted_g's err_estimate counts that
+    # rule's cut but not its panels, and twice the Gauss-Legendre nodes in
+    # each t panel move g by nothing at the scale of double rounding.  At
+    # s = -4 from A = 4 on, g lies about 1e3 under its oscillating u
+    # integrand, and any change of rule moves it by ~1e-13 relative: the
+    # widths of the u-panel test
     widths = (0.05, 0.4, 1.6, 4.0, 9.0, None)  # None: the _y_cap limit
     if s == -4.0:
-        widths = widths[:3]  # the wider ones take seconds per rule
-
-    def values(nodes):
-        monkeypatch.setattr(dens, "_Y_NODES", nodes)
-        return [tilted_g(s, A).value.real for A in widths]
-
-    shipped = values(dens._Y_NODES)
-    for nodes in (32, 8):
-        for g, other in zip(shipped, values(nodes)):
-            assert abs(g - other) <= 1e-13 * max(1.0, abs(g))
+        widths = widths[:3]
+    shipped = [tilted_g(s, A).value for A in widths]
+    monkeypatch.setattr(airy, "_HI_NODES", 2 * airy._HI_NODES)
+    for A, g in zip(widths, shipped):
+        assert abs(g - tilted_g(s, A).value) <= 1e-14 * max(1.0, abs(g))
 
 
 @pytest.mark.parametrize("s", [-4.0, -2.0, -0.73, 0.0, 0.37, 0.5, 2.0, 4.0])
@@ -373,62 +377,95 @@ def test_tilted_g_u_panels_have_converged(s, monkeypatch):
         assert abs(g - tilted_g(s, A).value.real) <= 1e-14 * max(1.0, abs(g))
 
 
-def test_tilted_g_airy_point_budget(monkeypatch):
-    # p(0.5) takes 150 u nodes on quarter-period panels; at 10 y nodes per
-    # unit block its 19 blocks send 150 x 190 = 28,500 points to
-    # log_ai_diff.  The survival calls at s = +-1 take 12 u panels over 1
-    # and 2 y blocks, and the g(0, .) build 150 u nodes x 17 blocks of 24
-    # y nodes = 61,200 points.  Eighth-period panels take about twice as
-    # many.
-    count = [0]
-    log_ai_diff = airy.log_ai_diff
+@pytest.mark.parametrize("s", [-3.0, -1.0, 0.0, 1.0, 2.0])
+def test_tilted_g_limit_is_the_exact_tilt(s):
+    # p(s) = e^{-(2/3) s^3} within g's 1e-10, relative where p passes 1
+    # (e^{18} at s = -3)
+    target = math.exp(-(2.0 / 3.0) * s ** 3)
+    assert abs(tilted_g_limit(s) - target) <= 1e-10 * max(1.0, target)
 
-    def counted(z, a):
-        count[0] += np.broadcast(np.asarray(z), np.asarray(a)).size
-        return log_ai_diff(z, a)
+
+def test_g0_model_agrees_with_the_scorer_route_at_block_edges():
+    # the g(0, .) model (Legendre y blocks of f) and tilted_g (the Scorer
+    # relation, no y nodes) share only the Airy layer; at the block edges
+    # A = k the model is its whole-block prefix sums
+    k = np.arange(1.0, 17.0)
+    model = dens._g0_vec(k / dens.FOUR13)[0]
+    scorer = [tilted_g(0.0, A).value for A in k]
+    assert np.abs(model - scorer).max() <= 1e-12
+
+
+def test_g_tail_bound_dominates_the_scorer_integrand():
+    # |e^{-beta^3/3} W(z + A) / Ai(z)^2| on z = iu integrated over (U, U + 20]
+    # by 40-point Gauss-Legendre panels (past that it is under e^-200), W
+    # from hi_lines and AMOS's Ai, Ai'; W(z + A) = -1/pi for A = None
+    x, w = np.polynomial.legendre.leggauss(40)
+    mids = 0.25 + 0.5 * np.arange(40.0)
+    for s in (-2.0, -1.0, 0.0, 1.0, 2.0):
+        beta = dens.TWO13 * s
+        for A in (0.05, 1.0, 5.0, None):
+            for U in (5.0, 10.0, 20.0, 30.0):
+                u = (U + mids[:, None] + 0.25 * x).ravel()
+                ai0 = scipy.special.airy(1j * u)[0]
+                if A is None:
+                    size = np.exp(-beta ** 3 / 3.0) / math.pi / np.abs(ai0) ** 2
+                else:
+                    m, hi, dhi, _ = airy.hi_lines([A], u, -beta)
+                    ai, aip, _, _ = scipy.special.airy(A + 1j * u)
+                    size = np.abs(np.exp(m[0]) * (aip * hi[0] - ai * dhi[0]) / ai0 ** 2)
+                assert np.tile(0.25 * w, 40) @ size <= dens._g_tail(s, A)(U)
+
+
+def test_tilted_g_airy_point_budget(monkeypatch):
+    # the Scorer route takes Ai at the u nodes and Ai, Ai' at u + A, one
+    # Airy call each, and nothing from log_ai_diff: p(0.5) takes its 150 u
+    # nodes (the y blocks sent 28,500 points to log_ai_diff), the survival
+    # calls at s = +-1 their 195, twice, plus one point for the W(z) rest.
+    # The g(0, .) build still takes 150 u nodes x 17 blocks of 24 y nodes.
+    count = {}
+
+    def counted(name):
+        fn = getattr(airy, name)
+
+        def call(z, *args):
+            count[name] = count.get(name, 0) + np.broadcast(
+                np.asarray(z), *map(np.asarray, args)).size
+            return fn(z, *args)
+        monkeypatch.setattr(airy, name, call)
+
+    for name in ("log_ai_diff", "log_ai_many", "log_ai_and_ratio"):
+        counted(name)
 
     def points(call, *args):
-        count[0] = 0
+        count.clear()
         call(*args)
-        return count[0]
+        return count
 
-    monkeypatch.setattr(airy, "log_ai_diff", counted)
-    assert 0 < points(tilted_g, 0.5, None) <= 28_500
+    assert points(tilted_g, 0.5, None) == {"log_ai_and_ratio": 150, "log_ai_many": 1}
     for s in (-1.0, 1.0):
-        assert 0 < points(survival_prob, StartState(s, -0.25)) <= 1_800
-        assert 0 < points(survival_prob, StartState(s, -1.0)) <= 3_600
+        for x in (-0.25, -1.0):
+            assert points(survival_prob, StartState(s, x)) == {
+                "log_ai_and_ratio": 390, "log_ai_many": 1}
     dens._g0_interp.cache_clear()
     try:
-        assert 0 < points(dens._g0_interp) <= 61_200
+        assert points(dens._g0_interp)["log_ai_diff"] == 61_200
     finally:
         dens._g0_interp.cache_clear()
 
 
-def test_g_rule_chunks_change_memory_not_values(monkeypatch):
-    # p(-3) is 53 y blocks x 10 nodes x 2,220 u nodes = 1.2 M (y, u)
-    # entries; in calls of whole y blocks it is the same rule bit for bit,
-    # and its peak memory does not grow with the entry count
-    tracemalloc.start()
-    try:
-        res = tilted_g(-3.0, None)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 200 * 2 ** 20
-    assert res.value == pytest.approx(math.exp(2.0 * 27.0 / 3.0), rel=1e-9)
-    # the g(0, .) model's 61,200 entries fit in one call (about 17 MB)
-    tracemalloc.start()
-    try:
-        dens._g_rule(0.0, dens.FOUR13 * dens._G0_DOMAIN, dens._G0_Y_NODES)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 20 * 2 ** 20
-    edges, f, whole = dens._g_rule(-1.0, 5.5, 10)
-    monkeypatch.setattr(dens, "_G_CHUNK", 1)  # one y block per call
-    edges_c, f_c, chunked = dens._g_rule(-1.0, 5.5, 10)
-    assert np.array_equal(edges_c, edges) and np.array_equal(f_c, f)
-    assert chunked == whole
+def test_tilted_g_and_the_g0_build_bound_their_memory():
+    # p(-3) takes 1,035 u nodes (U > 2 2^{2/3} 9 for the tail bound) and
+    # reads e^{18} to rounding; the g(0, .) model's 61,200 (y, u) entries go
+    # in one log_ai_diff call (about 17 MB)
+    for call, args in ((tilted_g, (-3.0, None)), (dens._g0_interp.__wrapped__, ())):
+        tracemalloc.start()
+        try:
+            call(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2 ** 20
+    assert tilted_g(-3.0, None).value == pytest.approx(math.exp(18.0), rel=1e-14)
 
 
 def test_phi_real_and_positive():

@@ -185,6 +185,19 @@ def test_incomplete_scorer_ode_check_passes_strict_and_rejects_a_perturbation(
     assert not any(r.passed for r in verify.check_incomplete_scorer_ode())
 
 
+def test_scorer_y_relation_check_passes_and_rejects_a_scaled_hi(monkeypatch):
+    assert "scorer_y_relation" in verify.SUITES["identities"]
+    assert verify.check_scorer_y_relation().passed
+    hi_lines = airy.hi_lines
+
+    def scaled(c, u, s0):
+        m, hi, dhi, cut = hi_lines(c, u, s0)
+        return m, hi * (1.0 + 1e-9), dhi * (1.0 + 1e-9), cut
+
+    monkeypatch.setattr(verify.airy, "hi_lines", scaled)
+    assert not verify.check_scorer_y_relation().passed
+
+
 def test_regime_continuity_covers_the_real_axis_switch(monkeypatch):
     assert verify.check_regime_continuity(profile=0.01).passed
     ai_real = airy.ai_real
