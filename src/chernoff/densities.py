@@ -444,7 +444,7 @@ def survival_prob(state: StartState) -> float:
     """Probability of never reaching the barrier from (s, x):
     exp(2sx + (2/3)s^3) g(s, x).  The g rule is accurate in absolute terms,
     so the factor e^{(2/3)s^3} scales its error: where that scaled error
-    passes 1e-6 (s above about 2.4) or the factor overflows, it raises
+    passes 1e-6 (s above about 2.8) or the factor overflows, it raises
     ProbabilityRangeError instead of returning a value."""
     if state.x == 0.0:
         return 0.0

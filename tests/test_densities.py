@@ -170,9 +170,9 @@ def test_hitting_prob_airy_point_budget(monkeypatch):
 
 
 def test_survival_prob_raises_where_the_tilt_swamps_the_g_rule():
-    # e^{(2/3)s^3} times the g rule's 5e-11 error: 1.3e2 at s = 3.5 (the
-    # rule read 0.0, truth 0.755), 7.9e5 at s = 4 (read 1.0, truth 0.799),
-    # and an overflow at s = 12
+    # e^{(2/3)s^3} times the g rule's error estimate, at least its 1e-12
+    # u-tail cut: about 2.6 at s = 3.5, 3.4e6 at s = 4, and an overflow at
+    # s = 12 (the guard raises from about s = 2.8)
     for s in (3.5, 4.0, 12.0):
         with pytest.raises(dens.ProbabilityRangeError):
             survival_prob(StartState(s, -0.1))
