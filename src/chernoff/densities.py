@@ -30,8 +30,8 @@ next to a fixed-Talbot contour per time.
 e^{-(2/3) t^3} k(t, 0) from there on, with k a trapezoid sum on a saddle line
 per band of t; nothing caches it.  ``g`` has one rule, a fixed Kronrod sum
 on quarter-period u panels of the source paper's incomplete-Scorer form of
-the y integral; the g(0, .) model takes the y integrand at Gauss blocks in
-y once, apart from it.
+the y integral, for one width or many at one s; the g(0, .) model is two
+Chebyshev series from one such pass over 64 widths.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.special
+from numpy.polynomial import chebyshev as cheb
 
 from . import airy
 from .quadrature import (
@@ -389,6 +390,48 @@ def _g_tail(s: float, A: float | None):
     return decay
 
 
+def _g_pass(s: float, widths: np.ndarray | None):
+    """`tilted_g`'s rule at one s for widths 0 < A_k < `_y_cap(s)` (None:
+    the limit p(s)) in one Kronrod pass: the lines [0, A_1, ...] share the u
+    panels, cut for the widest, and one `airy.hi_lines` and
+    `airy.log_ai_and_ratio` call.  Returns per width the value, its estimate
+    and d/dA of the value, (1/pi) int_0^U Re e^{-beta (A + iu)} Ai(A + iu) /
+    Ai(iu)^2 du, and the node count."""
+    beta = TWO13 * s
+    lines = np.concatenate([[0.0], [] if widths is None else widths])
+    U, tail = truncation(_g_tail(s, None if widths is None else lines.max()), _G_TAIL)
+    if not tail <= _G_TAIL:
+        raise QuadratureBudgetError(QuadratureResult(math.nan, math.inf, 0))
+    edges = panel_edges(0.0, U, math.pi / (2.0 * max(1.0, abs(beta))), _G_SPEC)
+    n = 1 if widths is None else widths.size
+
+    def f(u):
+        m, hi, dhi, cut = airy.hi_lines(lines, u, -beta)
+        log_ai, ratio = airy.log_ai_and_ratio(lines[:, None] + 1j * u)
+        # e^{-beta^3/3} W / Ai(z)^2 on each line, from its log-scaled parts
+        scale = np.exp(m[:, None] + log_ai - 2.0 * log_ai[0])
+        w = scale * (ratio * hi - dhi)
+        bound = np.abs(scale) * (np.abs(ratio) * cut[0][:, None] + cut[1][:, None])
+        if widths is None:
+            far = -np.exp(-beta ** 3 / 3.0 - 2.0 * log_ai[:1]) / math.pi
+        else:
+            far, bound = w[1:], bound[0] + bound[1:]
+        slope = np.exp(log_ai[1:] - 2.0 * log_ai[0] - beta * (lines[1:, None] + 1j * u))
+        return np.concatenate([(w[0] - far).real, bound, slope.real / math.pi])
+
+    vk, vg = kronrod_panels(f, edges[:-1], edges[1:])
+    m, hi, _, _ = airy.hi_lines(0.0, [U], -beta)
+    rest = (np.exp(m[0] - airy.log_ai_many(1j * U)[0]) * hi[0, 0]).imag
+    value = vk[:n].sum(axis=1) + rest
+    err = (np.abs(vk[:n] - vg[:n]).sum(axis=1) + vk[n:2 * n].sum(axis=1) + tail
+           + 4.0 * np.finfo(float).eps * (1.0 + abs(beta) ** 3 / 3.0) * np.abs(value))
+    evals = 15 * (edges.size - 1)
+    for v, e in zip(value.tolist(), err.tolist()):
+        if not e <= max(_G_SPEC.abs_tol, _G_SPEC.rel_tol * abs(v)):
+            raise QuadratureBudgetError(QuadratureResult(v, e, evals))
+    return value, err, vk[2 * n:].sum(axis=1), evals
+
+
 def tilted_g(s: float, barrier_width: float | None) -> QuadratureResult:
     """(1/2pi) int du [int_0^A exp(-2^{1/3} s (iu+y)) Ai(iu+y) dy] / Ai(iu)^2.
 
@@ -401,40 +444,18 @@ def tilted_g(s: float, barrier_width: float | None) -> QuadratureResult:
     part is i e^{-beta^3/3} d/du (Hi / Ai)(iu), real at u = 0, so past U it
     folds to e^{-beta^3/3} Im (Hi / Ai)(iU), added in; the rest is 2 Re of
     the Hermitian integrand over Kronrod 15 panels on (0, U], a quarter
-    period of the tilt e^{-i beta u} wide.  The err_estimate adds the
-    panels' Kronrod 15 - Gauss 7 differences, the tail bound `_g_tail` and
-    the cut of the t rule (`airy.hi_lines`); a tail past 1e-12 raises a
-    budget error before any Airy evaluation, an estimate past abs 1e-10 /
-    rel 1e-9 after it.
+    period of the tilt e^{-i beta u} wide (`_g_pass`).  The err_estimate
+    adds the panels' Kronrod 15 - Gauss 7 differences, the tail bound
+    `_g_tail`, the cut of the t rule (`airy.hi_lines`) and the rounding of
+    the scale, 4 eps (1 + |beta|^3/3) |g|; a tail past 1e-12 raises a budget
+    error before any Airy evaluation, an estimate past abs 1e-10 / rel 1e-9
+    after it.
     """
     A = None if barrier_width is None or barrier_width >= _y_cap(s) else barrier_width
     if A is not None and A <= 0.0:
         return QuadratureResult(0.0, 0.0, 0)
-    beta = TWO13 * s
-    U, tail = truncation(_g_tail(s, A), _G_TAIL)
-    if not tail <= _G_TAIL:
-        raise QuadratureBudgetError(QuadratureResult(math.nan, math.inf, 0))
-    edges = panel_edges(0.0, U, math.pi / (2.0 * max(1.0, abs(beta))), _G_SPEC)
-    lines = np.array([0.0] if A is None else [0.0, A])
-
-    def f(u):
-        m, hi, dhi, cut = airy.hi_lines(lines, u, -beta)
-        log_ai, ratio = airy.log_ai_and_ratio(lines[:, None] + 1j * u)
-        # e^{-beta^3/3} W / Ai(z)^2 on each line, from its log-scaled parts
-        scale = np.exp(m[:, None] + log_ai - 2.0 * log_ai[0])
-        w = scale * (ratio * hi - dhi)
-        far = w[1] if A is not None else -np.exp(-beta ** 3 / 3.0 - 2.0 * log_ai[0]) / math.pi
-        bound = np.abs(scale) * (np.abs(ratio) * cut[0][:, None] + cut[1][:, None])
-        return np.stack([(w[0] - far).real, bound.sum(axis=0)])
-
-    (vk, ck), (vg, _) = kronrod_panels(f, edges[:-1], edges[1:])
-    m, hi, _, _ = airy.hi_lines(0.0, [U], -beta)
-    rest = (np.exp(m[0] - airy.log_ai_many(1j * U)[0]) * hi[0, 0]).imag
-    err = float(np.abs(vk - vg).sum() + ck.sum()) + tail
-    res = QuadratureResult(float(vk.sum() + rest), err, 15 * vk.size)
-    if not err <= max(_G_SPEC.abs_tol, _G_SPEC.rel_tol * abs(res.value)):
-        raise QuadratureBudgetError(res)
-    return res
+    value, err, _, evals = _g_pass(s, None if A is None else np.array([A]))
+    return QuadratureResult(float(value[0]), float(err[0]), evals)
 
 
 _SURVIVAL_ERR = 1e-6  # largest scaled error estimate survival_prob returns with
@@ -550,7 +571,7 @@ def chernoff_density(t):
 @lru_cache(maxsize=1)
 def _fz_cdf_interp():
     """Antiderivative of the argmax density; F(-4.8) ~ 0."""
-    integ = np.polynomial.chebyshev.Chebyshev.interpolate(
+    integ = cheb.Chebyshev.interpolate(
         chernoff_density, 160, domain=[-_FZ_DOMAIN, _FZ_DOMAIN]).integ()
     return integ - integ(-_FZ_DOMAIN)
 
@@ -569,79 +590,56 @@ def chernoff_cdf(t) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 _G0_DOMAIN = 10.5
-# Gauss-Legendre nodes per y block of the g(0, .) model: with 16 its g'
-# jumps 6.6e-12 relative across y = 16, where f falls e^4 per block
-_G0_Y_NODES = 24
+_G0_NODES = 64  # Chebyshev points of the g(0, .) model; with 48, g' moves 1e-11
 
 
 @lru_cache(maxsize=1)
 def _g0_interp():
     """The one model of x -> g(0, -x) on [0, 10.5], for psi and the
-    two-sided laws, apart from `tilted_g`: at s = 0 only the upper y limit
-    A = 4^{1/3} x depends on x, so f(y) = (1/2pi) int Ai(iu+y) / Ai(iu)^2
-    du, 2 Re of its Hermitian integrand over Kronrod 15 panels pi/2 wide on
-    (0, U], taken once at 24 Gauss nodes in each unit y block up to A =
-    4^{1/3} 10.5, serves every x.  Returns the y block edges, the
-    whole-block prefix integrals, and per block the Legendre coefficients
-    of f's interpolant and of its antiderivative."""
-    A = FOUR13 * _G0_DOMAIN
-    U, _ = truncation(lambda U: A * airy_ratio_tail_bound(U) / (2.0 * math.pi),
-                      _G_SPEC.abs_tol / 2.0)
-    edges = panel_edges(0.0, U, math.pi / 2.0, _G_SPEC)
-    leg = np.polynomial.legendre
-    yg, wg = leg.leggauss(_G0_Y_NODES)
-    y_edges = np.minimum(np.arange(math.ceil(A) + 1.0), A)
-    half = 0.5 * np.diff(y_edges)
-    y = (y_edges[:-1] + half * (yg[:, None] + 1.0)).reshape(-1, 1)  # node-major
-
-    def f_u(u):
-        return np.exp(airy.log_ai_diff(1j * u, y) - airy.log_ai_many(1j * u)).real / math.pi
-
-    f = kronrod_panels(f_u, edges[:-1], edges[1:])[0].sum(axis=1).reshape(_G0_Y_NODES, -1)
-    coef = np.linalg.solve(leg.legvander(yg, _G0_Y_NODES - 1), f)
-    prefix = np.concatenate([[0.0], np.cumsum(half * (wg @ f))])
-    return y_edges, prefix, coef, half * leg.legint(coef, lbnd=-1.0)
+    two-sided laws: `_g_pass` at s = 0 over 64 widths A at the Chebyshev
+    points of [0, 4^{1/3} 10.5] gives g(0, -x) at x = A / 4^{1/3}, and its
+    derivative in x, 4^{1/3} f(A), f(y) = (1/2pi) int Ai(iu+y) / Ai(iu)^2
+    du, from the same arrays.  Returns the Chebyshev coefficients, in t =
+    2x / 10.5 - 1, of g and of log g' (the log keeps g' accurate relative
+    to itself where it falls to 8e-23)."""
+    t = cheb.chebpts1(_G0_NODES)
+    g, _, dg, _ = _g_pass(0.0, (0.5 * FOUR13 * _G0_DOMAIN) * (t + 1.0))
+    coef = cheb.chebfit(t, np.stack([g, np.log(FOUR13 * dg)], axis=1), _G0_NODES - 1)
+    return coef[:, 0], coef[:, 1]
 
 
 def _g0_vec(xarr) -> tuple[np.ndarray, np.ndarray]:
-    """g(0, -x) and its derivative in x on [0, 10.5]: the g(0, .) model
-    integrated to A = 4^{1/3} x, and 4^{1/3} f(A) from the same block."""
-    y_edges, prefix, coef, antider = _g0_interp()
-    A = FOUR13 * np.asarray(xarr, dtype=np.float64)
-    k = np.minimum(A.astype(int), coef.shape[1] - 1)
-    t = 2.0 * (A - k) / (y_edges[k + 1] - k) - 1.0
-    leg = np.polynomial.legendre
-    return (prefix[k] + leg.legval(t, antider[:, k], tensor=False),
-            FOUR13 * leg.legval(t, coef[:, k], tensor=False))
-
-
-def _g0_fast(xarr) -> np.ndarray:
-    """g(0, -x) from the model, clipped to [0, 1]; 1 past its domain, where
-    1 - g(0, -x) < 1e-22."""
-    xarr = np.asarray(xarr, dtype=np.float64)
-    inside = np.clip(_g0_vec(np.clip(xarr, 0.0, _G0_DOMAIN))[0], 0.0, 1.0)
-    return np.where(xarr > _G0_DOMAIN, 1.0, inside)
+    """g(0, -x), clipped to [0, 1], and its derivative in x, from the g(0, .)
+    model's two series; past x = 10.5, where 1 - g < 1e-22, 1 and 0."""
+    cg, clog = _g0_interp()
+    x = np.asarray(xarr, dtype=np.float64)
+    t = (2.0 / _G0_DOMAIN) * np.clip(x, 0.0, _G0_DOMAIN) - 1.0
+    inside = x <= _G0_DOMAIN
+    return (np.where(inside, np.clip(cheb.chebval(t, cg), 0.0, 1.0), 1.0),
+            np.where(inside, np.exp(cheb.chebval(t, clog)), 0.0))
 
 
 def psi(t: float) -> float:
     """psi(t) = int_0^inf h_{-x}(t) g(0, -x) dx  (t >= 0).
 
-    At t = 0 the defining integrand degenerates (h concentrates at the
-    barrier); the continuity limit is taken by evaluating at t = 1e-8.
-    Below t = 0.02 the integral runs in x = w v, v in [0, 14], with w the
-    Gaussian width sqrt(2t); from 0.02 on, w = 1 and v = x ends at 8 (10
-    past t = 1.5).
+    As t -> 0, h_{-x}(t) is the driftless passage density and g(0, -x) ~
+    g' x, g' its derivative at x = 0, so psi(0) = g' / 2, read from the
+    g(0, .) model; below t = 1e-10 psi returns that limit, within 1.2e-10
+    of psi(t) = phi(-t) / 2.  From there the integral runs in x = w v: below
+    t = 0.02 with v in [0, 14] and w the Gaussian width sqrt(2t); from 0.02
+    on, w = 1 and v = x ends at 8 (10 past t = 1.5).
     """
     if t < 0.0:
         raise ValueError("psi requires t >= 0")
-    t_eff = max(float(t), 1e-8)
-    small = t_eff < 0.02
-    w = math.sqrt(2.0 * t_eff) if small else 1.0
-    cap = 14.0 if small else 8.0 if t_eff <= 1.5 else 10.0
+    if t < 1e-10:
+        return 0.5 * float(_g0_vec(0.0)[1])
+    small = t < 0.02
+    w = math.sqrt(2.0 * t) if small else 1.0
+    cap = 14.0 if small else 8.0 if t <= 1.5 else 10.0
 
     def f(v):
         xs = w * v
-        return w * _h_grid(FOUR13 * xs, t_eff)[:, 0] * _g0_fast(xs)
+        return w * _h_grid(FOUR13 * xs, t)[:, 0] * _g0_vec(xs)[0]
 
     res = integrate_interval(f, 0.0, cap, QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8))
     return float(res.value.real)
@@ -686,7 +684,7 @@ def _joint_two_sided_grid(t_arr, a_arr) -> np.ndarray:
     (len(t), len(a)), from one h grid over (level, |t|)."""
     at = np.abs(np.atleast_1d(np.asarray(t_arr, dtype=np.float64)))
     a_arr = np.atleast_1d(np.asarray(a_arr, dtype=np.float64))
-    return (_h_grid(FOUR13 * a_arr, at) * _g0_fast(a_arr)[:, None] * phi(at)).T
+    return (_h_grid(FOUR13 * a_arr, at) * _g0_vec(a_arr)[0][:, None] * phi(at)).T
 
 
 def joint_density_two_sided(t: float, a: float) -> float:
@@ -701,10 +699,8 @@ def _max_marginal_many(a_arr: np.ndarray) -> np.ndarray:
     """Two-sided max marginal.  The two halves of the path are independent,
     so F_M(a) = g(0,-a)^2 and f_M(a) = 2 g(0,-a) g'(a), both read from the
     g(0, .) model; 0 past its domain, where f_M < 1.6e-22."""
-    a_arr = np.atleast_1d(np.asarray(a_arr, dtype=np.float64))
-    g, dg = _g0_vec(np.clip(a_arr, 0.0, _G0_DOMAIN))
-    out = np.clip(2.0 * g * dg, 0.0, None)
-    return np.where(a_arr > _G0_DOMAIN, 0.0, out)
+    g, dg = _g0_vec(np.atleast_1d(a_arr))
+    return 2.0 * g * dg
 
 
 def max_marginal_two_sided(a: float) -> float:
@@ -745,7 +741,7 @@ def argmax_second_moment() -> float:
 def max_mean_two_sided() -> float:
     """E M under the two-sided law: int_0^inf (1 - F_M(a)) da with the exact
     factorization F_M(a) = g(0,-a)^2."""
-    res = integrate_interval(lambda a: 1.0 - _g0_fast(a) ** 2, 0.0, 10.0,
+    res = integrate_interval(lambda a: 1.0 - _g0_vec(a)[0] ** 2, 0.0, 10.0,
                              QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9))
     return float(res.value.real)
 

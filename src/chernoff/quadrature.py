@@ -115,7 +115,8 @@ def _pairwise(vals: np.ndarray) -> complex:
 
 def truncation(decay: Callable[[float], float], target: float,
                lo: float = 5.0, hi: float = 200.0) -> tuple[float, float]:
-    """Smallest U in [lo, hi] with decay(U) <= target, by 60 bisections, and
+    """Smallest U in [lo, hi] with decay(U) <= target, by 60 bisections
+    (fewer once the ends are neighbouring doubles, with the same U), and
     decay(U): where to cut an infinite domain whose integral beyond U is
     bounded by decay(U), and the tail bound to pass on.  U is hi when
     decay(hi) > target."""
@@ -126,6 +127,8 @@ def truncation(decay: Callable[[float], float], target: float,
     a, b = lo, hi
     for _ in range(60):
         m = 0.5 * (a + b)
+        if m == a or m == b:
+            break
         if decay(m) <= target:
             b = m
         else:

@@ -5,7 +5,7 @@ Stirling-series gamma, a brute-force oscillatory quadrature for the real
 Airy integral, a dense fixed-grid rule for smooth decaying integrands, and
 phi from scipy's Airy function on such a grid, and k(t, 0) and phi's left
 tail at 30 digits with mpmath, from the saddle contour and the Airy-zero
-residues.  Seven read the package: the
+residues.  Eight read the package: the
 Poincare-series loop that sums every point until the slowest stops takes the
 package's coefficients, so it checks the per-point term counts of
 ``airy._asy_sums``; the full-line integral runs the package's adaptive
@@ -13,7 +13,8 @@ integrator on [-U, U], so folded integrals can be checked against the
 unfolded line; h from its defining Fourier integral and the full-line u
 integrand of g take their log-Airy values from the package, so they check
 the inversion routes and the g rule's quadrature rather than Airy values,
-and so does h by a fixed-Talbot contour per time;
+and so do h by a fixed-Talbot contour per time and g(0, .) by unit y blocks
+of its y integrand, a route apart from the Scorer relation;
 the max density as a difference of hitting probabilities reads the
 package's hitting probability, a route to it that never evaluates phi; and
 the per-side two-sided Monte Carlo run calls the package's path engine once
@@ -257,6 +258,54 @@ def tilted_g_integrand(s: float, A: float):
 
     grow = math.exp(c * max(0.0, -s) * A) * max(A, 1.0)
     return f, lambda U: grow * airy_ratio_tail_bound(U) / (2.0 * math.pi)
+
+
+_G0_Y_TOP = 2.0 ** (2.0 / 3.0) * 10.5  # y reach of the g(0, .) reference
+_G0_Y_NODES = 24  # Gauss-Legendre nodes per unit y block
+
+
+@lru_cache(maxsize=1)
+def _g0_y_blocks():
+    """The y integrand of g at s = 0, f(y) = (1/2pi) int Ai(iu+y) / Ai(iu)^2
+    du, as 2 Re of its Hermitian integrand over Kronrod 15 panels pi/2 wide
+    on (0, U], at 24 Gauss nodes in each unit y block up to 4^{1/3} 10.5
+    (one `log_ai_diff` call).  Returns the y block edges, the whole-block
+    prefix integrals, and per block the Legendre coefficients of f's
+    interpolant and of its antiderivative."""
+    from chernoff import airy
+    from chernoff.quadrature import (QuadratureSpec, airy_ratio_tail_bound,
+                                     kronrod_panels, panel_edges, truncation)
+
+    A = _G0_Y_TOP
+    U, _ = truncation(lambda U: A * airy_ratio_tail_bound(U) / (2.0 * math.pi), 5e-11)
+    edges = panel_edges(0.0, U, math.pi / 2.0, QuadratureSpec())
+    leg = np.polynomial.legendre
+    yg, wg = leg.leggauss(_G0_Y_NODES)
+    y_edges = np.minimum(np.arange(math.ceil(A) + 1.0), A)
+    half = 0.5 * np.diff(y_edges)
+    y = (y_edges[:-1] + half * (yg[:, None] + 1.0)).reshape(-1, 1)  # node-major
+
+    def f_u(u):
+        return np.exp(airy.log_ai_diff(1j * u, y) - airy.log_ai_many(1j * u)).real / math.pi
+
+    f = kronrod_panels(f_u, edges[:-1], edges[1:])[0].sum(axis=1).reshape(_G0_Y_NODES, -1)
+    coef = np.linalg.solve(leg.legvander(yg, _G0_Y_NODES - 1), f)
+    prefix = np.concatenate([[0.0], np.cumsum(half * (wg @ f))])
+    return y_edges, prefix, coef, half * leg.legint(coef, lbnd=-1.0)
+
+
+def g0_y_blocks(x) -> tuple[np.ndarray, np.ndarray]:
+    """g(0, -x) and its derivative in x for x in [0, 10.5] by a route apart
+    from the Scorer relation: f integrated over unit y blocks to A = 4^{1/3}
+    x, and 4^{1/3} f(A) from the same block."""
+    y_edges, prefix, coef, antider = _g0_y_blocks()
+    four13 = 2.0 ** (2.0 / 3.0)
+    A = four13 * np.asarray(x, dtype=np.float64)
+    k = np.minimum(A.astype(int), coef.shape[1] - 1)
+    t = 2.0 * (A - k) / (y_edges[k + 1] - k) - 1.0
+    leg = np.polynomial.legendre
+    return (prefix[k] + leg.legval(t, antider[:, k], tensor=False),
+            four13 * leg.legval(t, coef[:, k], tensor=False))
 
 
 def max_density_fd(a: float, state, step: float = 1e-4, spec=None) -> float:

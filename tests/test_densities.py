@@ -43,7 +43,7 @@ from chernoff.quadrature import (
 
 from oracles import (gl_panels, h_density_fourier, h_talbot, integrate_full_line,
                      k_reference, max_density_fd, phi_reference,
-                     phi_residue_reference, tilted_g_integrand)
+                     g0_y_blocks, phi_residue_reference, tilted_g_integrand)
 
 
 def ai_ratio_real(znum: float, zden: float) -> float:
@@ -385,10 +385,34 @@ def test_tilted_g_limit_is_the_exact_tilt(s):
     assert abs(tilted_g_limit(s) - target) <= 1e-10 * max(1.0, target)
 
 
+@pytest.mark.parametrize("s", [-4.0, -5.0, -6.0, -7.0, -7.9])
+def test_tilted_g_limit_within_its_estimate_of_mpmath(s):
+    # p(s) = e^{-(2/3) s^3} at 40 digits: from s = -5 on the rounding of the
+    # scale e^{-beta^3/3} leaves p 1e-14 to 7.5e-14 relative off, which the
+    # Kronrod differences alone (2e-15 to 7e-15 of p) do not cover
+    mpmath = pytest.importorskip("mpmath")
+    res = tilted_g(s, None)
+    with mpmath.workdps(40):
+        exact = mpmath.exp(-mpmath.mpf(2) / 3 * mpmath.mpf(s) ** 3)
+        miss = float(abs(mpmath.mpf(res.value) - exact))
+    assert miss <= res.err_estimate <= 4e-13 * res.value
+
+
+def test_survival_and_limit_bits_at_the_bench_states():
+    # the passage_quadrature benchmark's nominal states and p(0.5), pinned
+    # to the bit: these one-width calls share their pass with the g(0, .)
+    # build's 64 widths, which must not move them
+    states = {(-1.0, -0.25): "0x1.6667bece254d5p-6", (-1.0, -1.0): "0x1.a55bddbf8749bp-3",
+              (1.0, -0.25): "0x1.592bbc4d7107bp-1", (1.0, -1.0): "0x1.fc3c7ff5220cbp-1"}
+    for (s, x), bits in states.items():
+        assert survival_prob(StartState(s, x)).hex() == bits
+    assert tilted_g_limit(0.5).hex() == "0x1.d7100fbf669bcp-1"
+
+
 def test_g0_model_agrees_with_the_scorer_route_at_block_edges():
-    # the g(0, .) model (Legendre y blocks of f) and tilted_g (the Scorer
-    # relation, no y nodes) share only the Airy layer; at the block edges
-    # A = k the model is its whole-block prefix sums
+    # the g(0, .) model, Chebyshev series from one Scorer pass over 64
+    # widths, against tilted_g with one width at A = k, the y-block edges of
+    # the reference `g0_y_blocks`
     k = np.arange(1.0, 17.0)
     model = dens._g0_vec(k / dens.FOUR13)[0]
     scorer = [tilted_g(0.0, A).value for A in k]
@@ -421,7 +445,8 @@ def test_tilted_g_airy_point_budget(monkeypatch):
     # Airy call each, and nothing from log_ai_diff: p(0.5) takes its 150 u
     # nodes (the y blocks sent 28,500 points to log_ai_diff), the survival
     # calls at s = +-1 their 195, twice, plus one point for the W(z) rest.
-    # The g(0, .) build still takes 150 u nodes x 17 blocks of 24 y nodes.
+    # The g(0, .) build takes the same pass over 65 lines (0 and 64 widths)
+    # at 150 u nodes; its y blocks sent 61,200 points to log_ai_diff.
     count = {}
 
     def counted(name):
@@ -448,15 +473,15 @@ def test_tilted_g_airy_point_budget(monkeypatch):
                 "log_ai_and_ratio": 390, "log_ai_many": 1}
     dens._g0_interp.cache_clear()
     try:
-        assert points(dens._g0_interp)["log_ai_diff"] == 61_200
+        assert points(dens._g0_interp) == {"log_ai_and_ratio": 9_750, "log_ai_many": 1}
     finally:
         dens._g0_interp.cache_clear()
 
 
 def test_tilted_g_and_the_g0_build_bound_their_memory():
     # p(-3) takes 1,035 u nodes (U > 2 2^{2/3} 9 for the tail bound) and
-    # reads e^{18} to rounding; the g(0, .) model's 61,200 (y, u) entries go
-    # in one log_ai_diff call (about 17 MB)
+    # reads e^{18} to rounding (about 1 MB); the g(0, .) build's one pass
+    # holds 65 lines x 150 u nodes and their t-rule terms (about 4.6 MB)
     for call, args in ((tilted_g, (-3.0, None)), (dens._g0_interp.__wrapped__, ())):
         tracemalloc.start()
         try:
@@ -464,7 +489,7 @@ def test_tilted_g_and_the_g0_build_bound_their_memory():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20 * 2 ** 20
+        assert peak < 8 * 2 ** 20
     assert tilted_g(-3.0, None).value == pytest.approx(math.exp(18.0), rel=1e-14)
 
 
@@ -605,13 +630,14 @@ def test_psi_equals_half_phi_reflected():
 
 
 def test_psi_at_zero_is_half_phi_zero():
-    assert abs(psi(0.0) - 0.5 * phi(0.0)) < 1e-5
+    # psi(0) is the limit g'(0) / 2, read from the g(0, .) model
+    assert abs(psi(0.0) - 0.5 * phi(0.0)) <= 1e-11
 
 
 def test_psi_integrand_pointwise_nonnegative():
     xs = np.linspace(0.05, 4.0, 24)
     h_vals = dens._h_grid(dens.FOUR13 * xs, 1.0)[:, 0]
-    g_vals = dens._g0_fast(xs)
+    g_vals = dens._g0_vec(xs)[0]
     assert np.all(h_vals * g_vals > -1e-12)
 
 
@@ -621,26 +647,37 @@ def test_psi_rejects_negative_time():
 
 
 def test_g0_model_within_tilted_g_tolerance():
-    # the cached g(0, .) model against the tilted_g route, at points that
-    # are not y-block edges
+    # the cached g(0, .) model against the tilted_g route, between the
+    # model's Chebyshev points
     xs = (0.03, 0.37, 1.0, 2.2, 4.1)
-    for x, g in zip(xs, dens._g0_fast(np.array(xs))):
-        assert abs(g - survival_prob(StartState(0.0, -x))) < 1e-10
+    for x, g in zip(xs, dens._g0_vec(np.array(xs))[0]):
+        assert abs(g - survival_prob(StartState(0.0, -x))) < 1e-12
 
 
-def test_g0_blocks_continuous_at_block_edges():
-    # at 4^{1/3} x = k the whole-block prefix takes over from the partial
-    # block's interpolant, and g' passes from one block's interpolant to the
-    # next
-    for k in (1, 2, 5, 12, 16):
-        lo = hi = k / dens.FOUR13
-        while dens.FOUR13 * lo >= k:
-            lo = np.nextafter(lo, 0.0)
-        while dens.FOUR13 * hi < k:
-            hi = np.nextafter(hi, np.inf)
-        g, dg = dens._g0_vec(np.array([lo, hi]))
-        assert abs(g[1] - g[0]) < 1e-14
-        assert abs(dg[1] - dg[0]) < 1e-12 * dg[1]
+def test_g0_model_against_the_y_block_reference():
+    # the Chebyshev series of g and log g' against f integrated over unit y
+    # blocks, which shares only the Airy layer and the Kronrod panels; g'
+    # falls to 8e-23 at x = 10.5 and stays accurate relative to itself
+    x = np.linspace(0.0, 10.5, 8001)
+    g, dg = dens._g0_vec(x)
+    g_ref, dg_ref = g0_y_blocks(x)
+    assert np.abs(g - g_ref).max() <= 1e-12
+    assert (np.abs(dg - dg_ref) / dg_ref).max() <= 1e-10
+
+
+def test_g0_model_has_converged_in_its_widths(monkeypatch):
+    # 128 Chebyshev widths against the shipped 64 move g' by 7.9e-13
+    # relative (against 48, 8.8e-12) and g by 2.5e-14
+    x = np.linspace(0.0, 10.5, 2001)
+    g, dg = dens._g0_vec(x)
+    monkeypatch.setattr(dens, "_G0_NODES", 2 * dens._G0_NODES)
+    dens._g0_interp.cache_clear()
+    try:
+        g2, dg2 = dens._g0_vec(x)
+    finally:
+        dens._g0_interp.cache_clear()
+    assert np.abs(g - g2).max() <= 1e-13
+    assert (np.abs(dg - dg2) / dg2).max() <= 1e-11
 
 
 # ----------------------------------------------------------------------------
@@ -748,7 +785,7 @@ def test_joint_two_sided_unit_mass():
     ag = _graded_grid(1e-6, 4.0, 200)
     H = dens._h_grid(dens.FOUR13 * ag, tg)
     pv = phi(tg)
-    g0 = dens._g0_fast(ag)
+    g0 = dens._g0_vec(ag)[0]
     inner = np.trapezoid(H * pv[None, :], tg, axis=1)
     mass = 2.0 * np.trapezoid(inner * g0, ag)
     assert abs(mass - 1.0) < 1e-3
@@ -769,7 +806,7 @@ def test_max_marginal_routes_agree_where_quadrature_converged():
     pts, wts = gauss_legendre_panels(0.0, 14.0, 12, 14)
     joint = dens._h_grid(dens.FOUR13 * aa, pts) @ (wts * phi(pts))
     d1 = dens._max_marginal_many(aa)
-    d2 = 2.0 * dens._g0_fast(aa) * joint
+    d2 = 2.0 * dens._g0_vec(aa)[0] * joint
     assert np.all(np.abs(d1 - d2) < 1e-5)
 
 
