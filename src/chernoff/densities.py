@@ -596,15 +596,15 @@ _G0_NODES = 64  # Chebyshev points of the g(0, .) model; with 48, g' moves 1e-11
 @lru_cache(maxsize=1)
 def _g0_interp():
     """The one model of x -> g(0, -x) on [0, 10.5], for psi and the
-    two-sided laws: `_g_pass` at s = 0 over 64 widths A at the Chebyshev
-    points of [0, 4^{1/3} 10.5] gives g(0, -x) at x = A / 4^{1/3}, and its
-    derivative in x, 4^{1/3} f(A), f(y) = (1/2pi) int Ai(iu+y) / Ai(iu)^2
-    du, from the same arrays.  Returns the Chebyshev coefficients, in t =
-    2x / 10.5 - 1, of g and of log g' (the log keeps g' accurate relative
-    to itself where it falls to 8e-23)."""
+    two-sided laws: `_g_pass` at s = 0 over 64 widths A = 4^{1/3} x at the
+    Chebyshev points gives g and, from the same arrays, g' = 4^{1/3} f(A),
+    f(y) = (1/2pi) int Ai(iu+y) / Ai(iu)^2 du.  Returns the Chebyshev
+    coefficients, in t = 2x / 10.5 - 1, of g / x (0 at x = 0, relative next
+    to it) and of log g' (relative where g' falls to 8e-23)."""
     t = cheb.chebpts1(_G0_NODES)
-    g, _, dg, _ = _g_pass(0.0, (0.5 * FOUR13 * _G0_DOMAIN) * (t + 1.0))
-    coef = cheb.chebfit(t, np.stack([g, np.log(FOUR13 * dg)], axis=1), _G0_NODES - 1)
+    x = (0.5 * _G0_DOMAIN) * (t + 1.0)
+    g, _, dg, _ = _g_pass(0.0, FOUR13 * x)
+    coef = cheb.chebfit(t, np.stack([g / x, np.log(FOUR13 * dg)], axis=1), _G0_NODES - 1)
     return coef[:, 0], coef[:, 1]
 
 
@@ -613,9 +613,10 @@ def _g0_vec(xarr) -> tuple[np.ndarray, np.ndarray]:
     model's two series; past x = 10.5, where 1 - g < 1e-22, 1 and 0."""
     cg, clog = _g0_interp()
     x = np.asarray(xarr, dtype=np.float64)
-    t = (2.0 / _G0_DOMAIN) * np.clip(x, 0.0, _G0_DOMAIN) - 1.0
+    xc = np.clip(x, 0.0, _G0_DOMAIN)
+    t = (2.0 / _G0_DOMAIN) * xc - 1.0
     inside = x <= _G0_DOMAIN
-    return (np.where(inside, np.clip(cheb.chebval(t, cg), 0.0, 1.0), 1.0),
+    return (np.where(inside, np.clip(xc * cheb.chebval(t, cg), 0.0, 1.0), 1.0),
             np.where(inside, np.exp(cheb.chebval(t, clog)), 0.0))
 
 
@@ -623,15 +624,14 @@ def psi(t: float) -> float:
     """psi(t) = int_0^inf h_{-x}(t) g(0, -x) dx  (t >= 0).
 
     As t -> 0, h_{-x}(t) is the driftless passage density and g(0, -x) ~
-    g' x, g' its derivative at x = 0, so psi(0) = g' / 2, read from the
-    g(0, .) model; below t = 1e-10 psi returns that limit, within 1.2e-10
-    of psi(t) = phi(-t) / 2.  From there the integral runs in x = w v: below
-    t = 0.02 with v in [0, 14] and w the Gaussian width sqrt(2t); from 0.02
-    on, w = 1 and v = x ends at 8 (10 past t = 1.5).
+    g'(0) x, so below t = 1e-12, as for h, psi is its limit g'(0) / 2 from
+    the g(0, .) model, within 1.2e-12 of phi(-t) / 2.  Below t = 0.02 the
+    integral runs in x = w v, v in [0, 14], with w the Gaussian width
+    sqrt(2t); from 0.02 on, w = 1 and v = x ends at 8 (10 past t = 1.5).
     """
     if t < 0.0:
         raise ValueError("psi requires t >= 0")
-    if t < 1e-10:
+    if t < _H_T_MIN:
         return 0.5 * float(_g0_vec(0.0)[1])
     small = t < 0.02
     w = math.sqrt(2.0 * t) if small else 1.0
