@@ -4,9 +4,7 @@ Carlo oracle."""
 
 from .airy import AiryOverflowError, incomplete_hi, scorer_hi, u_lambda
 from .densities import (
-    DensityTable,
     StartState,
-    bm_first_passage_density,
     chernoff_density,
     g_fun,
     h_density,
@@ -27,8 +25,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AiryOverflowError", "incomplete_hi", "scorer_hi", "u_lambda",
-    "DensityTable", "StartState", "bm_first_passage_density",
-    "chernoff_density", "g_fun", "h_density", "hitting_prob",
+    "StartState", "chernoff_density", "g_fun", "h_density", "hitting_prob",
     "joint_density_one_sided", "joint_density_two_sided",
     "max_density_one_sided", "max_marginal_two_sided", "phi", "psi",
     "survival_prob", "tabulate", "McConfig", "PathFunctionals",

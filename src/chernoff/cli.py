@@ -37,10 +37,13 @@ def _require(ok: bool, message: str) -> None:
 
 
 def _checked(make, *args, **kw):
-    """Build a value object whose constructor validates only its own
-    fields, so its ValueError is a usage error."""
+    """Call a constructor or function that validates only its own
+    arguments, so its ValueError is a usage error; a numerical error that
+    is also a ValueError (a negative density) stays a numerical failure."""
     try:
         return make(*args, **kw)
+    except _NUMERICAL_ERRORS:
+        raise
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
@@ -88,44 +91,20 @@ def _fmt_rows(header: str, rows) -> str:
 # ----------------------------------------------------------------------------
 
 def cmd_tabulate(args) -> int:
-    which = args.which
-    try:
-        if which == "chernoff":
-            table = dens.tabulate("argmax", _grid(args))
-            text = _fmt_rows("t,f", zip(table.grid, table.values))
-        elif which == "max2":
-            g = _grid(args)
-            _require(g[0] > 0.0, "tabulate --which max2 needs --from > 0")
-            table = dens.tabulate("joint_marginal", g)
-            text = _fmt_rows("a,f", zip(table.grid, table.values))
-        elif which == "firstpassage":
-            st = _checked(StartState, args.s, args.x)
-            g = _grid(args)
-            _require(g[0] > st.s, "tabulate --which firstpassage needs --from > --s")
-            table = dens.tabulate("first_passage", g, state=st)
-            text = _fmt_rows("t,f", zip(table.grid, table.values))
-        elif which == "phi":
-            g = _grid(args)
-            vals = dens._clamp_density(dens.phi(g))
-            text = _fmt_rows("t,f", zip(g, vals))
-        elif which == "h":
-            _require(args.x < 0, "tabulate --which h needs --x < 0")
-            shift = _checked(StartState, 0.0, args.x).shift
-            g = _grid(args)
-            _require(g[0] > 0, "tabulate --which h needs --from > 0")
-            vals = dens._clamp_density(dens._h_grid(shift, g)[0])
-            text = _fmt_rows("t,f", zip(g, vals))
-        elif which == "joint2":
-            g, aa = _grid(args), _grid(args, "a_")
-            _require(aa[0] > 0.0, "tabulate --which joint2 needs --a-from > 0")
-            vals = dens._clamp_density(dens._joint_two_sided_grid(g, aa))
-            rows = [(t, a, f) for t, row in zip(g, vals) for a, f in zip(aa, row)]
-            text = _fmt_rows("t,a,f", rows)
-        else:  # pragma: no cover - argparse restricts choices
-            return 2
-    except _NUMERICAL_ERRORS as exc:
-        print("numerical failure: %s" % exc, file=sys.stderr)
-        return 3
+    which, g = args.which, _grid(args)
+    state = levels = None
+    if which in ("h", "firstpassage"):
+        # h is the kernel at level --x; only a passage starts at time --s
+        state = _checked(StartState, args.s if which == "firstpassage" else 0.0,
+                         args.x)
+    elif which == "joint2":
+        levels = _grid(args, "a_")
+    vals = _checked(dens.tabulate, which, g, state, levels)
+    if which == "joint2":
+        rows = [(t, a, f) for t, row in zip(g, vals) for a, f in zip(levels, row)]
+        text = _fmt_rows("t,a,f", rows)
+    else:
+        text = _fmt_rows("a,f" if which == "max2" else "t,f", zip(g, vals))
     _write_out(args.out, text)
     return 0
 
@@ -141,13 +120,9 @@ def cmd_verify(args) -> int:
     if args.suite in ("all", "mc"):
         cfg = _checked(mcsim.McConfig, n_paths=args.paths, dt=5e-4, t_max=4.0,
                        seed=args.seed, threads=args.threads)
-    try:
-        reports = list(verify.run_all(profile, suites)) if suites else []
-        if cfg is not None:
-            reports += verify.mc_concordance(cfg)
-    except _NUMERICAL_ERRORS as exc:
-        print("numerical failure: %s" % exc, file=sys.stderr)
-        return 3
+    reports = list(verify.run_all(profile, suites)) if suites else []
+    if cfg is not None:
+        reports += verify.mc_concordance(cfg)
     print(verify.summarize(reports))
     if args.report:
         _write_out(args.report, verify.to_ndjson(reports))
@@ -214,8 +189,7 @@ def cmd_compare(args) -> int:
             lo, hi = a - width / 2.0, a + width / 2.0
             p_hat = float(np.mean((sample.max >= lo) & (sample.max < hi)))
             se = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / cfg.n_paths)
-            dens_vals = [dens.max_density_one_sided(v, st)
-                         for v in (lo, a, hi)]
+            dens_vals = _checked(dens.tabulate, "max", [lo, a, hi], st)
             p_exp = (dens_vals[0] + 4 * dens_vals[1] + dens_vals[2]) / 6.0 * width
             z = (p_hat - p_exp) / se if se else 0.0
             point_ok = abs(z) <= 3.0

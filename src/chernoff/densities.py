@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -59,7 +59,6 @@ from .quadrature import (
 
 __all__ = [
     "StartState",
-    "DensityTable",
     "ProbabilityRangeError",
     "NegativeDensityError",
     "h_density",
@@ -77,7 +76,6 @@ __all__ = [
     "max_density_one_sided",
     "joint_density_two_sided",
     "max_marginal_two_sided",
-    "bm_first_passage_density",
     "bm_first_passage_cdf",
     "argmax_second_moment",
     "max_mean_two_sided",
@@ -710,14 +708,6 @@ def max_marginal_two_sided(a: float) -> float:
     return float(_max_marginal_many(np.asarray([a]))[0])
 
 
-def bm_first_passage_density(z: float, u: float) -> float:
-    """First-passage density of driftless Brownian motion from z > 0 to 0:
-    (2 pi u^3)^{-1/2} z exp(-z^2/(2u))."""
-    if not (z > 0.0 and u > 0.0):
-        raise ValueError("requires z > 0 and u > 0")
-    return z * math.exp(-z * z / (2.0 * u)) / math.sqrt(2.0 * math.pi * u ** 3)
-
-
 def bm_first_passage_cdf(z: float, u) -> np.ndarray:
     """P(tau_0 <= u) = erfc(z / sqrt(2u)) for driftless BM from z > 0."""
     u = np.atleast_1d(np.asarray(u, dtype=np.float64))
@@ -750,9 +740,6 @@ def max_mean_two_sided() -> float:
 # Tabulation
 # ----------------------------------------------------------------------------
 
-_TABLE_KINDS = ("argmax", "max", "joint_marginal", "first_passage")
-
-
 def _clamp_density(values) -> np.ndarray:
     """The nonnegativity rule for tabulated densities: a value in
     [-1e-9, 0) is rounding and becomes 0, a lower one raises
@@ -763,73 +750,75 @@ def _clamp_density(values) -> np.ndarray:
     return np.where(values < 0.0, 0.0, values)
 
 
-@dataclass
-class DensityTable:
-    """Grid + values + provenance for one tabulated density."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    kind: str
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=np.float64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.kind not in _TABLE_KINDS:
-            raise ValueError("unknown table kind %r" % (self.kind,))
-        if self.grid.ndim != 1 or self.grid.size < 2 or np.any(np.diff(self.grid) <= 0):
-            raise ValueError("grid must be strictly increasing")
-        if self.grid.shape != self.values.shape:
-            raise ValueError("grid/value shape mismatch")
-        self.values = _clamp_density(self.values)
-
-    def trapezoid_mass(self) -> float:
-        return float(np.trapezoid(self.values, self.grid))
+def _table_axis(values, name: str) -> np.ndarray:
+    """One axis of a table as a float array; a ValueError unless it is
+    strictly increasing, with at least two points."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1 or arr.size < 2 or np.any(np.diff(arr) <= 0):
+        raise ValueError("%s must be strictly increasing, with at least two "
+                         "points" % name)
+    return arr
 
 
-def tabulate(kind: str, grid, state: StartState | None = None) -> DensityTable:
-    """Tabulate one of the densities on a strictly increasing grid.
+def _need(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError("tabulate " + message)
 
-    kinds: ``argmax`` (two-sided argmax density; its trapezoid mass is
-    checked against the CDF over the grid), ``max`` (one-sided max density
-    from ``state``), ``joint_marginal`` (two-sided max marginal),
-    ``first_passage`` (passage-time density from ``state``).
+
+def tabulate(which: str, grid, state: StartState | None = None,
+             levels=None) -> np.ndarray:
+    """One density on a strictly increasing grid, every value through the
+    nonnegativity rule of `_clamp_density`.  The kinds:
+
+    * ``chernoff``: the argmax density f_Z(t); its trapezoid mass must
+      match the argmax CDF over the grid within 1e-5 + step^2/6, or an
+      ArithmeticError is raised;
+    * ``phi``: phi(t);
+    * ``max2``: the two-sided max marginal at levels a > 0;
+    * ``h``: the kernel h_x(t) at the level x < 0 of ``state`` (its start
+      time is not read), at times t > 0;
+    * ``firstpassage``: the passage-time density from ``state`` at t > s;
+    * ``joint2``: the two-sided joint density at times ``grid`` and
+      strictly increasing ``levels`` a > 0, shape (len(grid), len(levels));
+    * ``max``: the one-sided max density from ``state`` at levels a > x.
+
+    An unknown kind, or a grid, level or state outside the kind's domain,
+    is a ValueError.
     """
-    grid = np.asarray(grid, dtype=np.float64)
-    meta = {"mass_tol": 1e-5, "kind": kind, "mass_target": None}
-
-    if kind == "argmax":
+    grid = _table_axis(grid, "grid")
+    if which == "chernoff":
         values = chernoff_density(grid)
-        cdf = chernoff_cdf(np.asarray([grid[0], grid[-1]]))
-        meta["mass_target"] = float(cdf[1] - cdf[0])
-    elif kind == "joint_marginal":
-        if np.any(grid <= 0.0):
-            raise ValueError("joint_marginal grid must be positive")
+    elif which == "phi":
+        values = phi(grid)
+    elif which == "max2":
+        _need(grid[0] > 0.0, "max2 needs levels a > 0")
         values = _max_marginal_many(grid)
-    elif kind == "first_passage":
-        if state is None:
-            raise ValueError("first_passage needs a start state")
+    elif which == "joint2":
+        levels = _table_axis(levels, "levels")
+        _need(levels[0] > 0.0, "joint2 needs levels a > 0")
+        values = _joint_two_sided_grid(grid, levels)
+    elif which in ("h", "firstpassage", "max"):
+        _need(state is not None, "%s needs a start state" % which)
         s, x = state.s, state.x
-        meta["state"] = (s, x)
-        tau = grid - s
-        if np.any(tau <= 0.0):
-            raise ValueError("first_passage grid must lie above the start time")
-        values = np.exp(2.0 * s * x - _cubic_gap(s, tau)) * _h_grid(state.shift, tau)[0]
-    elif kind == "max":
-        if state is None:
-            raise ValueError("max needs a start state")
-        meta["state"] = (state.s, state.x)
-        values = [max_density_one_sided(float(aa), state) for aa in grid]
+        if which == "h":
+            _need(x < 0.0 and grid[0] > 0.0, "h needs a level x < 0 and times t > 0")
+            values = _h_grid(state.shift, grid)[0]
+        elif which == "firstpassage":
+            _need(grid[0] > s, "firstpassage needs times t > s")
+            tau = grid - s
+            values = np.exp(2.0 * s * x - _cubic_gap(s, tau)) * _h_grid(state.shift, tau)[0]
+        else:
+            _need(grid[0] > x, "max needs levels a > x")
+            values = [max_density_one_sided(float(a), state) for a in grid]
     else:
-        raise ValueError("unknown table kind %r" % (kind,))
-
-    table = DensityTable(grid, values, kind, meta)
-    meta["mass"] = table.trapezoid_mass()
-    if kind == "argmax":
+        raise ValueError("unknown tabulate kind %r" % (which,))
+    values = _clamp_density(values)
+    if which == "chernoff":
+        mass = float(np.trapezoid(values, grid))
+        lo, hi = chernoff_cdf(grid[[0, -1]])
         step = float(np.max(np.diff(grid)))
         # trapezoid discretization allowance on coarse grids
-        allowance = meta["mass_tol"] + step * step / 6.0
-        if abs(meta["mass"] - meta["mass_target"]) > allowance:
+        if abs(mass - (hi - lo)) > 1e-5 + step * step / 6.0:
             raise ArithmeticError("tabulated mass %.8f misses target %.8f"
-                                  % (meta["mass"], meta["mass_target"]))
-    return table
+                                  % (mass, hi - lo))
+    return values

@@ -371,7 +371,7 @@ def check_chernoff_density(profile: float = 1.0) -> list[CheckReport]:
                                  _scaled(1e-12, profile), t0))
     t0 = time.perf_counter()
     grid = np.arange(-300, 301) * 0.01
-    mass = dens.tabulate("argmax", grid).trapezoid_mass()
+    mass = float(np.trapezoid(dens.tabulate("chernoff", grid), grid))
     out.append(CheckReport.build("chernoff_unit_mass", 1.0, mass,
                                  _scaled(1e-5, profile), t0))
     t0 = time.perf_counter()

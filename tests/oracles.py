@@ -92,8 +92,12 @@ def airy_cosine_integral(x: float) -> float:
     return (head + bridge + row[0]) / math.pi
 
 
-def trapezoid_mass(grid: np.ndarray, values: np.ndarray) -> float:
-    return float(np.trapezoid(values, grid))
+def bm_first_passage_density(z: float, u: float) -> float:
+    """First-passage density of driftless Brownian motion from z > 0 to 0:
+    (2 pi u^3)^{-1/2} z exp(-z^2/(2u)), the small-time limit of h."""
+    if not (z > 0.0 and u > 0.0):
+        raise ValueError("requires z > 0 and u > 0")
+    return z * math.exp(-z * z / (2.0 * u)) / math.sqrt(2.0 * math.pi * u ** 3)
 
 
 def phi_reference(t) -> np.ndarray:

@@ -1,6 +1,7 @@
 """CLI: verbs, flags, exit codes, CSV shape, reproducibility."""
 
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -193,6 +194,31 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
                   "--step", "0.5", "--out", str(out))
     assert rc == 3
     assert not out.exists()  # no partial file left behind
+
+
+def test_numerical_failure_in_verify_is_one_line_exit_3(monkeypatch):
+    def boom(*a, **k):
+        raise QuadratureBudgetError(QuadratureResult(0.0, 1.0, 10))
+    monkeypatch.setattr(cli.verify, "run_all", boom)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = run_main("verify", "--suite", "identities")
+    assert rc == 3 and out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+
+
+def test_cli_reads_no_private_densities_name():
+    # the CLI parses flags and formats rows; every law is computed behind
+    # the public densities API
+    tree = ast.parse(open(cli.__file__).read())
+    private = [n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+               and isinstance(n.value, ast.Name) and n.value.id == "dens"
+               and n.attr.startswith("_")]
+    private += [a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                and n.module == "densities" for a in n.names
+                if a.name.startswith("_")]
+    assert private == []
 
 
 @pytest.mark.parametrize("argv", [

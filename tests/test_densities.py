@@ -14,10 +14,9 @@ from hypothesis import given, settings, strategies as hst
 from chernoff import airy
 from chernoff import densities as dens
 from chernoff.densities import (
-    DensityTable,
+    NegativeDensityError,
     StartState,
     bm_first_passage_cdf,
-    bm_first_passage_density,
     chernoff_density,
     g_fun,
     h_density,
@@ -41,9 +40,10 @@ from chernoff.quadrature import (
     integrate_interval,
 )
 
-from oracles import (gl_panels, h_density_fourier, h_talbot, integrate_full_line,
-                     k_reference, max_density_fd, phi_reference,
-                     g0_y_blocks, phi_residue_reference, tilted_g_integrand)
+from oracles import (bm_first_passage_density, gl_panels, h_density_fourier,
+                     h_talbot, integrate_full_line, k_reference, max_density_fd,
+                     phi_reference, g0_y_blocks, phi_residue_reference,
+                     tilted_g_integrand)
 
 
 def ai_ratio_real(znum: float, zden: float) -> float:
@@ -609,8 +609,7 @@ def test_chernoff_density_symmetric_bitwise():
 
 def test_chernoff_density_unit_mass_trapezoid():
     grid = np.arange(-300, 301) * 0.01
-    table = tabulate("argmax", grid)
-    assert abs(table.trapezoid_mass() - 1.0) < 1e-5
+    assert abs(np.trapezoid(tabulate("chernoff", grid), grid) - 1.0) < 1e-5
 
 
 def test_chernoff_cdf_monotone_normalized():
@@ -892,34 +891,101 @@ def test_bm_first_passage_domain():
 
 def test_tabulate_argmax_symmetric_values():
     grid = np.linspace(-2.0, 2.0, 81)
-    table = tabulate("argmax", grid)
-    assert np.abs(table.values - table.values[::-1]).max() < 1e-12
-    assert abs(table.meta["mass_target"] - 1.0) < 1e-3  # range CDF mass
+    values = tabulate("chernoff", grid)
+    assert np.abs(values - values[::-1]).max() < 1e-12
+    # the range's CDF mass, which the table's trapezoid mass must meet
+    cdf = dens.chernoff_cdf(grid[[0, -1]])
+    assert abs(cdf[1] - cdf[0] - 1.0) < 1e-3
+    assert abs(np.trapezoid(values, grid) - (cdf[1] - cdf[0])) < 1e-5 + 0.05 ** 2 / 6
 
 
 def test_tabulate_first_passage_mass_matches_hitting():
     st = StartState(0.0, -1.0)
     grid = np.arange(1, 3501) * 0.002
-    table = tabulate("first_passage", grid, state=st)
-    assert abs(table.trapezoid_mass() - hitting_prob(st)) < 1e-5
+    values = tabulate("firstpassage", grid, state=st)
+    assert abs(np.trapezoid(values, grid) - hitting_prob(st)) < 1e-5
 
 
 def test_tabulate_max_reads_values_next_to_the_barrier():
     st = StartState(0.0, -1e-6)
     grid = np.array([5e-7, 0.5, 1.0])  # 1.5e-6 above x at the first point
-    table = tabulate("max", grid, state=st)
+    values = tabulate("max", grid, state=st)
     k = dens.k_at_barrier(0.0)
-    assert abs(table.values[0] - k) < 1e-5 * k
-    for a, v in zip(grid[1:], table.values[1:]):
+    assert abs(values[0] - k) < 1e-5 * k
+    for a, v in zip(grid[1:], values[1:]):
         assert abs(v - max_density_fd(float(a), st, step=1e-3)) < 1e-7 * v
 
 
-def test_density_table_validation():
-    with pytest.raises(ValueError):
-        DensityTable(np.array([0.0, 0.0, 1.0]), np.zeros(3), "argmax")
-    with pytest.raises(ValueError):
-        DensityTable(np.array([0.0, 1.0]), np.zeros(3), "argmax")
-    with pytest.raises(ValueError):
-        DensityTable(np.array([0.0, 1.0]), np.zeros(2), "bogus")
-    with pytest.raises(ValueError):
-        DensityTable(np.array([0.0, 1.0]), np.array([-1.0, 0.0]), "argmax")
+def test_tabulate_validation(monkeypatch):
+    # the kind names of the old table class are unknown kinds, not aliases
+    for which in ("argmax", "joint_marginal", "first_passage", "bogus"):
+        with pytest.raises(ValueError, match="unknown tabulate kind"):
+            tabulate(which, [0.5, 1.0], state=StartState(0.0, -1.0),
+                     levels=[0.5, 1.0])
+    for grid in ([0.0, 0.0, 1.0], [1.0, 0.0], [0.5], [[0.0, 1.0]]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            tabulate("chernoff", grid)
+    # a chernoff table whose trapezoid mass misses the CDF's over the grid
+    # by more than 1e-5 + step^2/6 is a numerical failure, not a ValueError
+    monkeypatch.setattr(dens, "chernoff_cdf", lambda t: np.array([0.0, 0.5]))
+    with pytest.raises(ArithmeticError, match="misses target") as err:
+        tabulate("chernoff", np.linspace(-3.0, 3.0, 601))
+    assert not isinstance(err.value, ValueError)
+    # a value in [-1e-9, 0) is rounding and reads 0; a lower one is a
+    # numerical failure, which is a ValueError too
+    monkeypatch.setattr(dens, "phi", lambda t: np.array([-1e-10, 0.5]))
+    assert tabulate("phi", [0.0, 1.0]).tolist() == [0.0, 0.5]
+    monkeypatch.setattr(dens, "phi", lambda t: np.array([-1.0, 0.0]))
+    with pytest.raises(NegativeDensityError):
+        tabulate("phi", [0.0, 1.0])
+
+
+_PASSAGE = StartState(0.5, -1.0)
+_MAX = StartState(0.0, -0.5)
+_T = np.array([-1.0, 0.5, 1.2])  # both sides of h's contour/residue switch
+_A = np.array([0.25, 1.0])
+
+
+def _firstpassage_direct(t):
+    s, x = _PASSAGE.s, _PASSAGE.x
+    return np.array([math.exp(-(2.0 / 3.0) * (u ** 3 - s ** 3) + 2.0 * s * x)
+                     * h_density(x, u - s) for u in t])
+
+
+# kind, keyword arguments, grid, the direct values on it and their largest
+# relative gap (0: the same bits), then calls out of the domain, each the
+# keyword arguments it overrides
+_KINDS = [
+    ("chernoff", {}, _T, lambda g: chernoff_density(g), 0.0,
+     [{"grid": [0.0, np.inf]}]),
+    ("phi", {}, _T, lambda g: phi(g), 0.0, [{"grid": [0.0, np.inf]}]),
+    ("max2", {}, _A, lambda g: [max_marginal_two_sided(a) for a in g], 0.0,
+     [{"grid": [0.0, 1.0]}]),
+    ("h", {"state": _PASSAGE}, np.array([0.3, 1.2]),
+     lambda g: dens._h_grid(_PASSAGE.shift, g)[0], 0.0,
+     [{"grid": [0.0, 1.0]}, {"state": StartState(0.0, 0.0)}, {"state": None}]),
+    ("firstpassage", {"state": _PASSAGE}, np.array([0.8, 1.5, 2.5]),
+     _firstpassage_direct, 1e-13, [{"grid": [0.5, 1.0]}, {"state": None}]),
+    ("joint2", {"levels": _A}, _T,
+     lambda g: [[joint_density_two_sided(t, a) for a in _A] for t in g], 0.0,
+     [{"levels": [0.0, 1.0]}, {"levels": [1.0, 0.5]}, {"levels": None}]),
+    ("max", {"state": _MAX}, np.array([-0.25, 0.5]),
+     lambda g: [max_density_one_sided(a, _MAX) for a in g], 0.0,
+     [{"grid": [-0.5, 0.5]}, {"state": None}]),
+]
+
+
+@pytest.mark.parametrize("which,kw,grid,direct,rel,outside", _KINDS,
+                         ids=[k[0] for k in _KINDS])
+def test_tabulate_kind_values_and_domain(which, kw, grid, direct, rel, outside):
+    values = tabulate(which, grid, **kw)
+    want = np.asarray(direct(grid), dtype=np.float64)
+    assert values.shape == want.shape
+    if rel == 0.0:
+        assert np.array_equal(values, want)
+    else:
+        assert np.all(np.abs(values - want) <= rel * np.abs(want))
+    for override in outside:
+        with pytest.raises(ValueError) as err:
+            tabulate(which, **{"grid": grid, **kw, **override})
+        assert not isinstance(err.value, NegativeDensityError)
