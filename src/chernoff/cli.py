@@ -184,13 +184,16 @@ def cmd_compare(args) -> int:
         # the bin around a = 0.2 must stay above the start level 0
         _require(0.0 < width < 0.4, "compare --target max needs 0 < --bin-width < 0.4")
         st = StartState(0.0, 0.0)
+        # the densities first, so a bin too narrow to hold three distinct
+        # levels is a usage error before any path is drawn
+        f = {a: _checked(dens.tabulate, "max", [a - width / 2.0, a, a + width / 2.0], st)
+             for a in (0.2, 0.5, 1.0)}
         sample = mcsim.simulate_one_sided(st, cfg)
-        for a in (0.2, 0.5, 1.0):
+        for a, (f_lo, f_a, f_hi) in f.items():
             lo, hi = a - width / 2.0, a + width / 2.0
             p_hat = float(np.mean((sample.max >= lo) & (sample.max < hi)))
             se = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / cfg.n_paths)
-            dens_vals = _checked(dens.tabulate, "max", [lo, a, hi], st)
-            p_exp = (dens_vals[0] + 4 * dens_vals[1] + dens_vals[2]) / 6.0 * width
+            p_exp = (f_lo + 4 * f_a + f_hi) / 6.0 * width
             z = (p_hat - p_exp) / se if se else 0.0
             point_ok = abs(z) <= 3.0
             ok = ok and point_ok

@@ -353,6 +353,10 @@ def test_tabulate_far_start_level_reads_zero(tmp_path, which):
     ("compare", "--target", "max", "--paths", "100", "--bin-width", "nan"),
     ("compare", "--target", "max", "--paths", "100", "--bin-width=-0.1"),
     ("compare", "--target", "max", "--paths", "100", "--bin-width", "0"),
+    # a bin, or a grid, whose points collapse in floating point
+    ("compare", "--target", "max", "--paths", "100", "--bin-width", "1e-17"),
+    ("tabulate", "--which", "phi", "--from", "1e16", "--to", "1.0000000000000002e16",
+     "--step", "1"),
 ])
 def test_domain_errors_are_one_line_usage_errors(argv):
     r = run_proc(*argv)
